@@ -66,6 +66,13 @@ class Scenario:
         return out
 
 
+def _zero_discount_message(label: str) -> str:
+    return (
+        "discount factor 0 would zero out every price; quote sheets "
+        f"printing 0 almost always mean 1 (it must satisfy 0 < {label} <= 1)"
+    )
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -91,10 +98,7 @@ def load_scenario(path: str) -> Scenario:
     expiry = number(need("expiry"), "expiry")
     discount = number(raw.get("discount", 1.0), "discount")
     if discount == 0.0:
-        raise ScenarioError(
-            "discount factor 0 would zero out every price; quote sheets "
-            "printing 0 almost always mean 1 (it must satisfy 0 < discount <= 1)"
-        )
+        raise ScenarioError(_zero_discount_message("discount"))
 
     pivots_raw = need("pivots")
     if not isinstance(pivots_raw, list) or len(pivots_raw) != 3:
@@ -209,19 +213,15 @@ def _smile_rows(grid: SmileGrid, reference_label: float | None) -> list[str]:
     return rows
 
 
-def _spec_from_args(args, kind_attr: str = "put") -> OptionSpec:
+def _spec_from_args(args) -> OptionSpec:
     if args.df == 0.0:
-        raise ValueError(
-            "discount factor 0 would zero out every price; quote sheets "
-            "printing 0 almost always mean 1 (it must satisfy 0 < df <= 1)"
-        )
-    kind = "put" if getattr(args, kind_attr, False) else "call"
+        raise ValueError(_zero_discount_message("df"))
     return OptionSpec(
         forward=args.forward,
         strike=args.strike,
         expiry=args.expiry,
         discount=args.df,
-        kind=kind,
+        kind="put" if args.put else "call",
     )
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 
 __all__ = [
     "SABRParams",
@@ -29,7 +29,7 @@ class CalibrationFailure(RuntimeError):
 
 
 NU_BOUNDS = (0.0, 10.0)
-# Open-interval correlation constraint, clamped for the optimizer.
+# Open-interval correlation constraint, held by the optimizer's bounds.
 RHO_BOUNDS = (-0.999, 0.999)
 
 _ZETA_SERIES_CUTOFF = 1e-6
@@ -103,11 +103,12 @@ def _zeta_over_x(zeta: float, rho: float) -> float:
 def sabr_fit(pivots) -> SABRFit:
     """Calibrate (alpha, nu, rho) to the three pivot vols of `pivots`.
 
-    Deterministic multi-start local search: a coarse simplex pass over a
-    fixed (nu, rho) grid with alpha seeded from the near-ATM pivot, then
-    a bounded least-squares polish of the best candidate. Convex pivot
-    triples are fitted essentially exactly; concave ones end at the
-    best convex compromise with visible residuals.
+    Deterministic multi-start bounded least squares: four starts at
+    nu in {0.3, 1.0} x rho in {-0.4, 0.4}, alpha seeded from the
+    near-ATM pivot, each run inside the parameter box; the lowest
+    finite cost wins. Convex pivot triples are fitted essentially
+    exactly; concave ones end at the best convex compromise with
+    visible residuals.
     """
     strikes = pivots.strikes
     vols = pivots.vols
@@ -116,63 +117,39 @@ def sabr_fit(pivots) -> SABRFit:
     # Pivot closest to the forward anchors the starting vol level.
     near_atm = min(range(3), key=lambda i: abs(strikes[i] - forward))
     vol_scale = vols[near_atm]
-    alpha_bounds = (1e-6 * min(vols), 1e3 * max(vols))
-
-    def clamp(x) -> SABRParams:
-        return SABRParams(
-            alpha=min(max(float(x[0]), alpha_bounds[0]), alpha_bounds[1]),
-            nu=min(max(float(x[1]), NU_BOUNDS[0]), NU_BOUNDS[1]),
-            rho=min(max(float(x[2]), RHO_BOUNDS[0]), RHO_BOUNDS[1]),
-        )
+    lower = np.array([1e-6 * min(vols), NU_BOUNDS[0], RHO_BOUNDS[0]])
+    upper = np.array([1e3 * max(vols), NU_BOUNDS[1], RHO_BOUNDS[1]])
 
     def residual_vec(x):
-        params = clamp(x)
+        params = SABRParams(*(float(v) for v in x))
         return [
             sabr_normal_vol(params, forward, expiry, k) - v
             for k, v in zip(strikes, vols)
         ]
 
-    def objective(x) -> float:
-        r = residual_vec(x)
-        return float(sum(v * v for v in r))
+    def run(nu0: float, rho0: float):
+        level = 1.0 + (2.0 - 3.0 * rho0**2) / 24.0 * nu0**2 * expiry
+        x0 = np.clip([vol_scale / level, nu0, rho0], lower, upper)
+        # Central differences: on frowns the best nu is tiny and the rho
+        # column of a forward-difference Jacobian is mostly rounding, which
+        # stops the search short of the rho bound.
+        return least_squares(
+            residual_vec,
+            x0,
+            jac="3-point",
+            bounds=(lower, upper),
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+        )
 
-    best_x = None
-    best_obj = math.inf
-    for nu0 in (0.05, 0.3, 1.0, 3.0):
-        for rho0 in (-0.8, -0.4, 0.0, 0.4, 0.8):
-            level = 1.0 + (2.0 - 3.0 * rho0**2) / 24.0 * nu0**2 * expiry
-            x0 = np.array([vol_scale / level, nu0, rho0])
-            result = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={"maxiter": 600, "xatol": 1e-10, "fatol": 1e-18},
-            )
-            if result.fun < best_obj and np.all(np.isfinite(result.x)):
-                best_obj = float(result.fun)
-                best_x = result.x
-    if best_x is None:
-        raise CalibrationFailure("every simplex start diverged")
+    results = [run(nu0, rho0) for nu0 in (0.3, 1.0) for rho0 in (-0.4, 0.4)]
+    finite = [r for r in results if math.isfinite(r.cost)]
+    if not finite:
+        raise CalibrationFailure("no least-squares start produced finite parameters")
+    best = min(finite, key=lambda r: r.cost)
 
-    polish = least_squares(
-        residual_vec,
-        np.clip(
-            best_x,
-            [alpha_bounds[0], NU_BOUNDS[0], RHO_BOUNDS[0]],
-            [alpha_bounds[1], NU_BOUNDS[1], RHO_BOUNDS[1]],
-        ),
-        bounds=(
-            [alpha_bounds[0], NU_BOUNDS[0], RHO_BOUNDS[0]],
-            [alpha_bounds[1], NU_BOUNDS[1], RHO_BOUNDS[1]],
-        ),
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    if not np.all(np.isfinite(polish.x)):
-        raise CalibrationFailure("least-squares polish produced non-finite parameters")
-    candidate = polish.x if float(2.0 * polish.cost) <= best_obj else best_x
-
-    params = clamp(candidate)
-    residuals = tuple(residual_vec(candidate))
-    return SABRFit(params=params, residuals=residuals, objective=objective(candidate))
+    params = SABRParams(*(float(v) for v in best.x))
+    residuals = tuple(residual_vec(best.x))
+    objective = float(sum(r * r for r in residuals))
+    return SABRFit(params=params, residuals=residuals, objective=objective)

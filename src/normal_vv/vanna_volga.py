@@ -10,8 +10,6 @@ which is what the reference scenarios use.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
@@ -225,7 +223,11 @@ def vv_smile_exact(pivots: PivotSet, k0: float) -> float | None:
     an exception so that grid construction can keep going: frown wings
     fail strike by strike, not wholesale.
     """
-    price = vv_price(pivots, k0)
+    return _exact_vol(pivots, k0, vv_price(pivots, k0))
+
+
+def _exact_vol(pivots: PivotSet, k0: float, price: float) -> float | None:
+    """Implied vol of the hedge price `price` at `k0`, None below intrinsic."""
     try:
         return implied_normal_vol(price, pivots.call_spec(k0))
     except ArbitrageViolation:
@@ -285,22 +287,6 @@ class SmileGrid:
         return tuple(p.strike for p in self.points if p.status != STATUS_OK)
 
 
-def _grid_workers() -> int:
-    raw = os.environ.get("NORMAL_VV_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_strikes(fn, strikes):
-    workers = _grid_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, strikes))
-    return [fn(k) for k in strikes]
-
-
 def vv_smile_grid(pivots: PivotSet, strikes, method: str = "vv-exact") -> SmileGrid:
     """Evaluate one vanna-volga smile over `strikes`.
 
@@ -317,14 +303,11 @@ def vv_smile_grid(pivots: PivotSet, strikes, method: str = "vv-exact") -> SmileG
             return SmilePoint(k0, vv_smile_first_order(pivots, k0), price, STATUS_OK)
         if method == "vv-second":
             return SmilePoint(k0, vv_smile_second_order(pivots, k0), price, STATUS_OK)
-        try:
-            vol = implied_normal_vol(price, pivots.call_spec(k0))
-        except ArbitrageViolation:
-            return SmilePoint(k0, None, price, FAILED_BELOW_INTRINSIC)
-        return SmilePoint(k0, vol, price, STATUS_OK)
+        vol = _exact_vol(pivots, k0, price)
+        return SmilePoint(k0, vol, price, FAILED_BELOW_INTRINSIC if vol is None else STATUS_OK)
 
-    points = _map_strikes(build, [float(k) for k in strikes])
-    return SmileGrid(method=method, reference_vol=pivots.ref_vol, points=tuple(points))
+    points = tuple(build(float(k)) for k in strikes)
+    return SmileGrid(method=method, reference_vol=pivots.ref_vol, points=points)
 
 
 _BRACKET_LO_FACTOR = 0.2

@@ -66,7 +66,44 @@ class TestVol:
             sabr_normal_vol(SABRParams(50.0, 0.5, 0.0), 0.0, 0.0, 10.0)
 
 
+def sabr_pivots(params, F, T, strikes):
+    vols = tuple(sabr_normal_vol(params, F, T, k) for k in strikes)
+    return PivotSet(F, T, strikes, vols, 1.0)
+
+
+# Best objective known for the scenario-2 frown (48/50/49), whose
+# optimal rho sits on the correlation bound.
+SCENARIO_2_OBJECTIVE = 1.4965909873156
+
+FIT_QUALITY_CASES = {
+    "sabr_skew": (sabr_pivots(SABRParams(50.0, 0.5, -0.6), 0.0, 1.0, STRIKES), True),
+    "negative_forward_t10": (
+        sabr_pivots(SABRParams(80.0, 0.3, 0.3), -150.0, 10.0, (-400.0, -150.0, 100.0)),
+        True,
+    ),
+    "deep_frown": (pivot_set((44.0, 50.0, 45.0)), False),
+    "scenario2_frown": (pivot_set((48.0, 50.0, 49.0)), False),
+    "flat": (pivot_set((50.0, 50.0, 50.0)), False),
+}
+
+
 class TestFit:
+    @pytest.mark.parametrize("case", sorted(FIT_QUALITY_CASES))
+    def test_fit_quality(self, case):
+        pivots, sabr_generated = FIT_QUALITY_CASES[case]
+        fit = sabr_fit(pivots)
+        atm = pivots.vols[min(range(3), key=lambda i: abs(pivots.strikes[i] - pivots.forward))]
+        # nu = 0 makes the smile flat at alpha, so no fit may do worse
+        # than the best flat line; (1e-12 * atm)^2 is the rounding floor
+        # of a zero objective.
+        mean = sum(pivots.vols) / 3.0
+        flat_objective = sum((v - mean) ** 2 for v in pivots.vols)
+        assert fit.objective <= flat_objective * (1.0 + 1e-9) + (1e-12 * atm) ** 2
+        if sabr_generated:
+            assert fit.max_abs_residual <= 1e-9 * atm
+        if case == "scenario2_frown":
+            assert fit.objective <= SCENARIO_2_OBJECTIVE * (1.0 + 1e-9)
+
     def test_round_trip_recovers_parameters(self):
         true = SABRParams(alpha=50.0, nu=0.6, rho=0.2)
         vols = tuple(sabr_normal_vol(true, 0.0, 1.0, k) for k in STRIKES)

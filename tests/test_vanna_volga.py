@@ -263,14 +263,6 @@ class TestSmileGrid:
             for point, v in zip(grid.points, p.vols):
                 assert point.vol == pytest.approx(v, abs=tol)
 
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        p = pivots(ref=55.0)
-        strikes = np.arange(-100.0, 100.0 + 1e-9, 10.0)
-        serial = vv_smile_grid(p, strikes, "vv-exact")
-        monkeypatch.setenv("NORMAL_VV_THREADS", "4")
-        threaded = vv_smile_grid(p, strikes, "vv-exact")
-        assert serial == threaded
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             vv_smile_grid(pivots(), STRIKES, "sabr")
