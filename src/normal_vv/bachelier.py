@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
@@ -22,6 +24,22 @@ def norm_pdf(x: float) -> float:
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via erfc; accurate to ~1 ulp over the full range."""
     return 0.5 * math.erfc(-x * _INV_SQRT_2)
+
+
+_EXP, _ERFC = np.frompyfunc(math.exp, 1, 1), np.frompyfunc(math.erfc, 1, 1)
+
+
+def _call_price_pdf(fwd_minus_strike, stddev, discount: float):
+    """Call price and phi(d) on floats or arrays, bit for bit as `bachelier_price`
+    and `norm_pdf`: arrays call libm per element, as numpy's own exp and erfc
+    round differently on a few percent of inputs."""
+    d = fwd_minus_strike / stddev
+    if isinstance(d, np.ndarray):
+        pdf = _EXP(-0.5 * d * d).astype(float) / _SQRT_2PI
+        cdf = 0.5 * _ERFC(-d * _INV_SQRT_2).astype(float)
+    else:
+        pdf, cdf = norm_pdf(d), norm_cdf(d)
+    return discount * (fwd_minus_strike * cdf + stddev * pdf), pdf
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bachelier import OptionSpec, bachelier_price, norm_pdf
+import numpy as np
+
+from .bachelier import OptionSpec, _call_price_pdf, bachelier_price, norm_pdf
 
 __all__ = [
     "ArbitrageViolation",
@@ -71,6 +73,8 @@ _ATM_BAND = 1e-14
 
 _MAX_NEWTON_STEPS = 4
 
+_ATANH = np.frompyfunc(math.atanh, 1, 1)  # np.arctanh rounds differently
+
 
 def _rational_kernel(eta: float) -> float:
     num = 0.0
@@ -79,7 +83,9 @@ def _rational_kernel(eta: float) -> float:
     den = 0.0
     for b in reversed(COEFFICIENTS.denominator):
         den = den * eta + b
-    return math.sqrt(eta) * num / den
+    # sqrt is correctly rounded in numpy as in math, so arrays may use np.sqrt.
+    root = np.sqrt(eta) if isinstance(eta, np.ndarray) else math.sqrt(eta)
+    return root * num / den
 
 
 def implied_normal_vol(price: float, spec: OptionSpec) -> float:
@@ -122,6 +128,42 @@ def implied_normal_vol(price: float, spec: OptionSpec) -> float:
         sigma = math.sqrt(math.pi / (2.0 * spec.expiry)) * straddle * _rational_kernel(eta)
 
     return _newton_polish(price, spec, sigma)
+
+
+def _implied_call_vols(prices, forward: float, strikes, expiry: float, discount: float):
+    """`implied_normal_vol` of call quotes over float arrays: bit for bit
+    equal where it returns, NaN where it raises ArbitrageViolation."""
+    fwd_minus_strike = forward - strikes
+    call_fwd = prices / discount
+    straddle = call_fwd + (call_fwd - fwd_minus_strike)
+    valid = np.isfinite(prices) & ~(prices <= discount * np.maximum(fwd_minus_strike, 0.0))
+    scale = np.fmax(1.0, abs(forward) + np.abs(strikes))
+    atm = valid & (np.abs(fwd_minus_strike) <= _ATM_BAND * scale)
+    sigma = np.full(prices.shape, math.nan)
+    sigma[atm] = 0.5 * straddle[atm] * math.sqrt(2.0 * math.pi / expiry)
+    idx = np.flatnonzero(valid & ~atm)
+    theta = fwd_minus_strike[idx] / straddle[idx]
+    inside = (-1.0 < theta) & (theta < 1.0)
+    idx, theta = idx[inside], theta[inside]
+    eta = theta / _ATANH(theta).astype(float)
+    sigma[idx] = math.sqrt(math.pi / (2.0 * expiry)) * straddle[idx] * _rational_kernel(eta)
+    # `_newton_polish` per element, each stopping where the scalar loop breaks;
+    # a form of its own, as on one element it costs tens of scalar inversions.
+    sqrt_t = math.sqrt(expiry)
+    tol = 4.0 * np.spacing(np.abs(prices))
+    idx = np.arange(sigma.size)
+    for _ in range(_MAX_NEWTON_STEPS):
+        idx = idx[(sigma[idx] > 0.0) & np.isfinite(sigma[idx])]
+        s = sigma[idx]
+        price, pdf = _call_price_pdf(fwd_minus_strike[idx], s * sqrt_t, discount)
+        residual = price - prices[idx]
+        vega = discount * sqrt_t * pdf
+        live = ~(np.abs(residual) <= tol[idx]) & ~(vega <= 0.0)
+        idx, s, step = idx[live], s[live], residual[live] / vega[live]
+        halve = step >= s
+        sigma[idx] = s = np.where(halve, 0.5 * s, s - step)
+        idx = idx[halve | ~(np.abs(step) <= 2.0 * np.spacing(s))]
+    return sigma
 
 
 def implied_normal_vol_atm(price: float, spec: OptionSpec) -> float:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = [
     "SABRParams",
@@ -110,6 +109,8 @@ def sabr_fit(pivots) -> SABRFit:
     exactly; concave ones end at the best convex compromise with
     visible residuals.
     """
+    from scipy.optimize import least_squares
+
     strikes = pivots.strikes
     vols = pivots.vols
     forward = pivots.forward

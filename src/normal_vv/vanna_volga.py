@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
+import numpy as np
 
-from .bachelier import OptionSpec, bachelier_price, norm_pdf
-from .implied_vol import ArbitrageViolation, implied_normal_vol
+from .bachelier import OptionSpec, _call_price_pdf, bachelier_price, norm_pdf
+from .implied_vol import ArbitrageViolation, _implied_call_vols, implied_normal_vol
 
 __all__ = [
     "PivotSet",
@@ -176,13 +176,13 @@ def vv_smile_first_order(pivots: PivotSet, k0: float) -> float:
     return sum(y_i * v_i for y_i, v_i in zip(y, pivots.vols))
 
 
-def vv_smile_second_order(pivots: PivotSet, k0: float) -> float:
+def vv_smile_second_order(pivots: PivotSet, k0):
     """Second-order smile approximation at strike `k0`.
 
     Solves the quadratic correction around the reference vol. Evaluated
     in a rationalized form that is exact at the pivots and smooth
     through the ATM point, where it reduces to the first-order value
-    plus the convexity term Q/(2*sigma).
+    plus the convexity term Q/(2*sigma). Arrays raise at their first bad strike.
     """
     sigma = pivots.ref_vol
     y = _interp_weights(pivots.strikes, k0)
@@ -195,24 +195,41 @@ def vv_smile_second_order(pivots: PivotSet, k0: float) -> float:
     )
     correction = 2.0 * sigma * p_term + q_term
     discriminant = sigma * sigma + d0 * d0 * correction
+    if isinstance(discriminant, np.ndarray):
+        for i in np.flatnonzero(discriminant < 0.0)[:1]:
+            raise NegativeDiscriminant(float(k0[i]), float(discriminant[i]))
+        return sigma + correction / (sigma + np.sqrt(discriminant))
     if discriminant < 0.0:
         raise NegativeDiscriminant(k0, discriminant)
     return sigma + correction / (sigma + math.sqrt(discriminant))
 
 
-def vv_price(pivots: PivotSet, k0: float) -> float:
+def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
+    """Per pivot, phi(d_i) at the reference vol and the call price at the
+    pivot vol minus that at the reference vol: the part of `vv_price`
+    that no strike changes, so a strike array needs it once."""
+    sigma = pivots.ref_vol
+    legs = []
+    for strike, vol in zip(pivots.strikes, pivots.vols):
+        spec, vega = pivots.call_spec(strike), norm_pdf(_moneyness(pivots, strike, sigma))
+        if vega == 0.0:  # every hedge weight divides by it, in arrays too
+            raise ZeroDivisionError(f"pivot {strike} has no vega at reference vol {sigma}")
+        legs.append((vega, bachelier_price(spec, vol) - bachelier_price(spec, sigma)))
+    return tuple(legs)
+
+
+def vv_price(pivots: PivotSet, k0):
     """Smile-consistent call price at `k0`: flat-vol price plus hedge cost.
 
-    May fall below intrinsic value in the far wings of a frown; that is
-    a known failure mode of the construction, and detecting it is the
-    caller's job.
+    `k0` may also be a float array. May fall below intrinsic value in
+    the far wings of a frown; that is a known failure mode of the
+    construction, and detecting it is the caller's job.
     """
-    sigma = pivots.ref_vol
-    weights = vv_weights(pivots, k0)
-    price = bachelier_price(pivots.call_spec(k0), sigma)
-    for w_i, strike, vol in zip(weights.hedge, pivots.strikes, pivots.vols):
-        spec = pivots.call_spec(strike)
-        price += w_i * (bachelier_price(spec, vol) - bachelier_price(spec, sigma))
+    stddev = pivots.ref_vol * math.sqrt(pivots.expiry)
+    price, vega0 = _call_price_pdf(pivots.forward - k0, stddev, pivots.discount)
+    # Hedge weight w_i = y_i * vega0 / vega_i: DF*sqrt(T) cancels in the ratio.
+    for y_i, (vega_i, gap_i) in zip(_interp_weights(pivots.strikes, k0), _pivot_legs(pivots)):
+        price += y_i * vega0 / vega_i * gap_i
     return price
 
 
@@ -223,13 +240,8 @@ def vv_smile_exact(pivots: PivotSet, k0: float) -> float | None:
     an exception so that grid construction can keep going: frown wings
     fail strike by strike, not wholesale.
     """
-    return _exact_vol(pivots, k0, vv_price(pivots, k0))
-
-
-def _exact_vol(pivots: PivotSet, k0: float, price: float) -> float | None:
-    """Implied vol of the hedge price `price` at `k0`, None below intrinsic."""
     try:
-        return implied_normal_vol(price, pivots.call_spec(k0))
+        return implied_normal_vol(vv_price(pivots, k0), pivots.call_spec(k0))
     except ArbitrageViolation:
         return None
 
@@ -296,17 +308,18 @@ def vv_smile_grid(pivots: PivotSet, strikes, method: str = "vv-exact") -> SmileG
     """
     if method not in ("vv-exact", "vv-first", "vv-second"):
         raise ValueError(f"unknown vanna-volga method {method!r}")
-
-    def build(k0: float) -> SmilePoint:
-        price = vv_price(pivots, k0)
-        if method == "vv-first":
-            return SmilePoint(k0, vv_smile_first_order(pivots, k0), price, STATUS_OK)
-        if method == "vv-second":
-            return SmilePoint(k0, vv_smile_second_order(pivots, k0), price, STATUS_OK)
-        vol = _exact_vol(pivots, k0, price)
-        return SmilePoint(k0, vol, price, FAILED_BELOW_INTRINSIC if vol is None else STATUS_OK)
-
-    points = tuple(build(float(k)) for k in strikes)
+    k = np.fromiter(strikes, dtype=float)
+    prices = vv_price(pivots, k)
+    if method == "vv-exact":
+        exact = _implied_call_vols(prices, pivots.forward, k, pivots.expiry, pivots.discount)
+        vols = [None if math.isnan(v) else v for v in exact.tolist()]
+    else:
+        smile = vv_smile_first_order if method == "vv-first" else vv_smile_second_order
+        vols = smile(pivots, k).tolist()
+    points = tuple(
+        SmilePoint(k0, vol, price, FAILED_BELOW_INTRINSIC if vol is None else STATUS_OK)
+        for k0, vol, price in zip(k.tolist(), vols, prices.tolist())
+    )
     return SmileGrid(method=method, reference_vol=pivots.ref_vol, points=points)
 
 
@@ -329,6 +342,8 @@ def calibrate_reference_vol(
     residual is multi-rooted the returned root is whichever the scan
     isolates first.
     """
+    from scipy.optimize import brentq
+
     k4, sigma4 = fourth_quote
     if k4 in pivots.strikes:
         raise ValueError(f"fourth strike {k4} coincides with a pivot strike")

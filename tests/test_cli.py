@@ -321,3 +321,12 @@ def test_bundled_scenarios_cover_reference_setups(scenario_dir):
         assert raw["discount"] == 1.0
         assert raw["forward"] == 0.0
         assert raw["expiry"] == 1.0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only the fits need the optimizers; price, invert and vv-smile
+    # should not pay for importing them.
+    code = "import sys, normal_vv; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from normal_vv import (
     implied_normal_vol,
     implied_normal_vol_atm,
 )
+from normal_vv.implied_vol import _implied_call_vols
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -127,6 +128,37 @@ class TestInversion:
             vols.append(implied_normal_vol(bachelier_price(s, sigma), s))
         jumps = [abs(a - b) for a, b in zip(vols, vols[1:])]
         assert max(jumps) <= 1e-12 * sigma
+
+
+@pytest.mark.parametrize(
+    "F, T, df, sigma",
+    [(0.0, 1.0, 1.0, 50.0), (-35.0, 10.0, 0.8, 120.0), (250.0, 0.05, 0.95, 3.0)],
+)
+def test_array_inverter_matches_scalar(F, T, df, sigma):
+    # Call quotes on both sides of the forward out to |d| = 9, the ATM
+    # seam, and quotes the scalar inverter rejects.
+    stddev = sigma * math.sqrt(T)
+    strikes = [F - d * stddev for d in np.linspace(-9.0, 9.0, 241)]
+    scale = max(1.0, 2.0 * abs(F))
+    for factor in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 10.0, 1e3):
+        strikes += [F - factor * 1e-14 * scale, F + factor * 1e-14 * scale]
+    prices = [bachelier_price(spec(F, k, T, df), sigma) for k in strikes]
+    for k in (F - stddev, F, F + stddev):
+        intrinsic = spec(F, k, T, df).intrinsic()
+        for price in (intrinsic, intrinsic - 1.0, 0.0, math.inf, -math.inf, math.nan):
+            strikes.append(k)
+            prices.append(price)
+    vols = _implied_call_vols(np.array(prices), F, np.array(strikes), T, df)
+    rejected = 0
+    for k, price, vol in zip(strikes, prices, vols.tolist()):
+        try:
+            expected = implied_normal_vol(price, spec(F, k, T, df))
+        except ArbitrageViolation:
+            rejected += 1
+            assert math.isnan(vol), (k, price)
+        else:
+            assert vol == expected, (k, price)
+    assert 18 <= rejected < len(strikes) // 2
 
 
 class TestAtmClosedForm:

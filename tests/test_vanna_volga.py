@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from normal_vv import (
+    FAILED_BELOW_INTRINSIC,
     NegativeDiscriminant,
     NoRoot,
     OptionSpec,
     PivotSet,
+    SmilePoint,
     bachelier_price,
     calibrate_reference_vol,
     verify_risk_elimination,
@@ -266,6 +268,87 @@ class TestSmileGrid:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             vv_smile_grid(pivots(), STRIKES, "sabr")
+
+    @pytest.mark.parametrize("method", ["vv-exact", "vv-first", "vv-second"])
+    def test_empty_strikes_give_empty_grid(self, method):
+        grid = vv_smile_grid(pivots(), [], method)
+        assert grid.points == ()
+        assert grid.method == method
+
+
+# Pivot sets for the array-versus-scalar checks: convex, skew, frown,
+# negative forward with a long expiry, and discounting.
+ARRAY_CASES = {
+    "convex": pivots(),
+    "skew": pivots(vols=(58.0, 50.0, 45.0), ref=52.0),
+    "frown": pivots(vols=(48.0, 50.0, 49.0), ref=60.0),
+    "negative_forward_T10": PivotSet(
+        -40.0, 10.0, (-200.0, -40.0, 120.0), (62.0, 50.0, 55.0), 1.0, reference_vol=48.0
+    ),
+    "discount_0.8": pivots(vols=(53.0, 50.0, 51.0), ref=47.0, df=0.8),
+}
+
+
+def far_strikes(p, reach=9.0, size=241):
+    """Strikes out to |d| = `reach` at the reference vol, plus the pivots."""
+    half = reach * p.ref_vol * math.sqrt(p.expiry)
+    grid = np.linspace(p.forward - half, p.forward + half, size).tolist()
+    return sorted(grid + list(p.strikes))
+
+
+def per_strike_points(p, strikes, method):
+    points = []
+    for k in strikes:
+        price = vv_price(p, k)
+        if method == "vv-first":
+            points.append(SmilePoint(k, vv_smile_first_order(p, k), price, "ok"))
+        elif method == "vv-second":
+            points.append(SmilePoint(k, vv_smile_second_order(p, k), price, "ok"))
+        else:
+            vol = vv_smile_exact(p, k)
+            status = FAILED_BELOW_INTRINSIC if vol is None else "ok"
+            points.append(SmilePoint(k, vol, price, status))
+    return tuple(points)
+
+
+@pytest.mark.parametrize("method", ["vv-exact", "vv-first", "vv-second"])
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+def test_grid_equals_per_strike_path(case, method):
+    # The grid evaluates whole strike arrays; every point, failed ones
+    # included, must equal the scalar functions bit for bit.
+    p = ARRAY_CASES[case]
+    strikes = far_strikes(p)
+    try:
+        expected = per_strike_points(p, strikes, method)
+    except NegativeDiscriminant as scalar_error:
+        with pytest.raises(NegativeDiscriminant) as grid_error:
+            vv_smile_grid(p, strikes, method)
+        assert grid_error.value.strike == scalar_error.strike
+        assert grid_error.value.discriminant == scalar_error.discriminant
+        return
+    assert vv_smile_grid(p, strikes, method).points == expected
+    assert vv_smile_grid(p, iter(strikes), method).points == expected
+
+
+def test_array_cases_reach_the_failure_paths():
+    # Guards the test above against passing vacuously.
+    frown = ARRAY_CASES["frown"]
+    assert vv_smile_grid(frown, far_strikes(frown), "vv-exact").failed_strikes
+    with pytest.raises(NegativeDiscriminant):
+        vv_smile_grid(frown, far_strikes(frown), "vv-second")
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+def test_price_is_flat_price_plus_weighted_pivot_gaps(case):
+    # The hedge replication written out from the public weights.
+    p = ARRAY_CASES[case]
+    sigma = p.ref_vol
+    for k in far_strikes(p, size=61):
+        expected = bachelier_price(p.call_spec(k), sigma)
+        for w_i, k_i, v_i in zip(vv_weights(p, k).hedge, p.strikes, p.vols):
+            spec = p.call_spec(k_i)
+            expected += w_i * (bachelier_price(spec, v_i) - bachelier_price(spec, sigma))
+        assert vv_price(p, k) == expected
 
 
 class TestReferenceCalibration:
