@@ -7,14 +7,12 @@ from .bachelier import (
     OptionSpec,
     bachelier_greeks,
     bachelier_price,
-    black76_price,
     norm_cdf,
     norm_pdf,
 )
 from .density import (
     DensityDiagnostics,
     DensityGrid,
-    default_density_window,
     density_diagnostics,
     density_from_prices,
 )
@@ -23,7 +21,6 @@ from .implied_vol import (
     ArbitrageViolation,
     InversionCoefficients,
     implied_normal_vol,
-    implied_normal_vol_atm,
 )
 from .sabr import CalibrationFailure, SABRFit, SABRParams, sabr_fit, sabr_normal_vol
 from .vanna_volga import (
@@ -35,6 +32,7 @@ from .vanna_volga import (
     SmileGrid,
     SmilePoint,
     VVWeights,
+    ZeroVega,
     calibrate_reference_vol,
     verify_risk_elimination,
     vv_price,
@@ -66,16 +64,14 @@ __all__ = [
     "SmileGrid",
     "SmilePoint",
     "VVWeights",
+    "ZeroVega",
     "__version__",
     "bachelier_greeks",
     "bachelier_price",
-    "black76_price",
     "calibrate_reference_vol",
-    "default_density_window",
     "density_diagnostics",
     "density_from_prices",
     "implied_normal_vol",
-    "implied_normal_vol_atm",
     "norm_cdf",
     "norm_pdf",
     "sabr_fit",

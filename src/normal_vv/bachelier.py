@@ -30,9 +30,10 @@ _EXP, _ERFC = np.frompyfunc(math.exp, 1, 1), np.frompyfunc(math.erfc, 1, 1)
 
 
 def _call_price_pdf(fwd_minus_strike, stddev, discount: float):
-    """Call price and phi(d) on floats or arrays, bit for bit as `bachelier_price`
-    and `norm_pdf`: arrays call libm per element, as numpy's own exp and erfc
-    round differently on a few percent of inputs."""
+    """Call price and phi(d) on floats or arrays: the one place a Bachelier
+    price is formed. Arrays call libm per element, as numpy's own exp and
+    erfc round differently on a few percent of inputs, so an array element
+    equals the float result bit for bit."""
     d = fwd_minus_strike / stddev
     if isinstance(d, np.ndarray):
         pdf = _EXP(-0.5 * d * d).astype(float) / _SQRT_2PI
@@ -96,27 +97,17 @@ class GreekSet:
     moneyness: float
 
 
-def moneyness(spec: OptionSpec, sigma: float) -> float:
-    """Normal moneyness d = (F - K) / (sigma * sqrt(T))."""
-    _require_positive_vol(sigma)
-    return (spec.forward - spec.strike) / (sigma * math.sqrt(spec.expiry))
-
-
 def bachelier_price(spec: OptionSpec, sigma: float) -> float:
     """Bachelier price of `spec` at normal vol `sigma`.
 
     Calls use the closed form directly; puts use its parity-reflected
-    twin, which keeps full relative precision for small out-of-the-money
-    prices instead of subtracting two large numbers.
+    twin, the call on the payoff K - F, which keeps full relative precision
+    for small out-of-the-money prices instead of subtracting two large
+    numbers.
     """
     _require_positive_vol(sigma)
-    stddev = sigma * math.sqrt(spec.expiry)
-    d = (spec.forward - spec.strike) / stddev
-    if spec.is_call:
-        value = (spec.forward - spec.strike) * norm_cdf(d) + stddev * norm_pdf(d)
-    else:
-        value = (spec.strike - spec.forward) * norm_cdf(-d) + stddev * norm_pdf(d)
-    return spec.discount * value
+    payoff = spec.forward - spec.strike if spec.is_call else spec.strike - spec.forward
+    return _call_price_pdf(payoff, sigma * math.sqrt(spec.expiry), spec.discount)[0]
 
 
 def bachelier_greeks(spec: OptionSpec, sigma: float) -> GreekSet:
@@ -139,29 +130,6 @@ def bachelier_greeks(spec: OptionSpec, sigma: float) -> GreekSet:
         volga=vega * d * d / sigma,
         moneyness=d,
     )
-
-
-def black76_price(spec: OptionSpec, sigma: float) -> float:
-    """Black-76 (lognormal) price, kept only as a sanity cross-check.
-
-    Near ATM and for small vols this should agree with the Bachelier
-    price at sigma_normal ~ sigma_lognormal * forward. Requires strictly
-    positive forward and strike.
-    """
-    _require_positive_vol(sigma)
-    if spec.forward <= 0.0 or spec.strike <= 0.0:
-        raise ValueError(
-            "black76_price needs positive forward and strike, got "
-            f"F={spec.forward}, K={spec.strike}"
-        )
-    stddev = sigma * math.sqrt(spec.expiry)
-    d_plus = (math.log(spec.forward / spec.strike) + 0.5 * stddev * stddev) / stddev
-    d_minus = d_plus - stddev
-    if spec.is_call:
-        value = spec.forward * norm_cdf(d_plus) - spec.strike * norm_cdf(d_minus)
-    else:
-        value = spec.strike * norm_cdf(-d_minus) - spec.forward * norm_cdf(-d_plus)
-    return spec.discount * value
 
 
 def _require_positive_vol(sigma: float) -> None:

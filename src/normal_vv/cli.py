@@ -25,6 +25,7 @@ from .vanna_volga import (
     NoRoot,
     PivotSet,
     SmileGrid,
+    ZeroVega,
     calibrate_reference_vol,
     vv_price,
     vv_smile_exact,
@@ -425,7 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (ArbitrageViolation, NoRoot, CalibrationFailure, NegativeDiscriminant) as exc:
+    except (
+        ArbitrageViolation, NoRoot, CalibrationFailure, NegativeDiscriminant, ZeroVega
+    ) as exc:
         payload = {"error": type(exc).__name__, "detail": str(exc)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 3

@@ -19,7 +19,6 @@ __all__ = [
     "DensityGrid",
     "density_from_prices",
     "density_diagnostics",
-    "default_density_window",
 ]
 
 # Plateau tolerance for peak counting: neighbours closer than this are
@@ -58,13 +57,6 @@ class DensityGrid:
     delta: float
     source: str
     diagnostics: DensityDiagnostics
-
-
-def default_density_window(forward: float, atm_vol: float, expiry: float, width: float = 4.0):
-    """Evaluation window F +/- width * sigma * sqrt(T); 4 sigma keeps
-    all but ~6e-5 of near-normal mass."""
-    half = width * atm_vol * math.sqrt(expiry)
-    return forward - half, forward + half
 
 
 def density_from_prices(

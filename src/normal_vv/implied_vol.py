@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bachelier import OptionSpec, _call_price_pdf, bachelier_price, norm_pdf
+from .bachelier import OptionSpec, _call_price_pdf
 
 __all__ = [
     "ArbitrageViolation",
     "InversionCoefficients",
     "COEFFICIENTS",
     "implied_normal_vol",
-    "implied_normal_vol_atm",
 ]
 
 
@@ -166,22 +165,6 @@ def _implied_call_vols(prices, forward: float, strikes, expiry: float, discount:
     return sigma
 
 
-def implied_normal_vol_atm(price: float, spec: OptionSpec) -> float:
-    """Exact ATM inversion sigma = price * sqrt(2*pi/T) / DF.
-
-    Only valid when forward and strike coincide exactly; then call and
-    put prices agree and the pricing formula collapses to a single
-    invertible term.
-    """
-    if spec.forward != spec.strike:
-        raise ValueError(
-            f"ATM inversion needs F == K, got F={spec.forward}, K={spec.strike}"
-        )
-    if not price > 0.0 or not math.isfinite(price):
-        raise ValueError(f"ATM price must be positive and finite, got {price}")
-    return price * math.sqrt(2.0 * math.pi / spec.expiry) / spec.discount
-
-
 def _newton_polish(target: float, spec: OptionSpec, sigma: float) -> float:
     """Drive the repricing residual to the floating-point floor.
 
@@ -190,16 +173,17 @@ def _newton_polish(target: float, spec: OptionSpec, sigma: float) -> float:
     restore full precision everywhere. Steps stop early once the
     residual is at rounding level, so the common case does one pass.
     """
+    payoff = spec.forward - spec.strike if spec.is_call else spec.strike - spec.forward
     sqrt_t = math.sqrt(spec.expiry)
     tol = 4.0 * math.ulp(abs(target))
     for _ in range(_MAX_NEWTON_STEPS):
         if not sigma > 0.0 or not math.isfinite(sigma):
             break
-        residual = bachelier_price(spec, sigma) - target
+        price, pdf = _call_price_pdf(payoff, sigma * sqrt_t, spec.discount)
+        residual = price - target
         if abs(residual) <= tol:
             break
-        d = (spec.forward - spec.strike) / (sigma * sqrt_t)
-        vega = spec.discount * sqrt_t * norm_pdf(d)
+        vega = spec.discount * sqrt_t * pdf
         if vega <= 0.0:
             break
         step = residual / vega

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bachelier import OptionSpec, _call_price_pdf, bachelier_price, norm_pdf
+from .bachelier import OptionSpec, _call_price_pdf, norm_pdf
 from .implied_vol import ArbitrageViolation, _implied_call_vols, implied_normal_vol
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "SmileGrid",
     "NegativeDiscriminant",
     "NoRoot",
+    "ZeroVega",
     "vv_weights",
     "vv_smile_first_order",
     "vv_smile_second_order",
@@ -49,6 +50,11 @@ class NegativeDiscriminant(ArithmeticError):
             f"second-order vol undefined at strike {strike}: "
             f"square-root argument {discriminant} is negative"
         )
+
+
+class ZeroVega(ZeroDivisionError):
+    """A pivot's vega underflows to 0 at the reference vol (|d| above about
+    38.6), and every hedge weight divides by it."""
 
 
 class NoRoot(RuntimeError):
@@ -208,13 +214,15 @@ def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
     """Per pivot, phi(d_i) at the reference vol and the call price at the
     pivot vol minus that at the reference vol: the part of `vv_price`
     that no strike changes, so a strike array needs it once."""
-    sigma = pivots.ref_vol
+    sigma, sqrt_t = pivots.ref_vol, math.sqrt(pivots.expiry)
     legs = []
     for strike, vol in zip(pivots.strikes, pivots.vols):
-        spec, vega = pivots.call_spec(strike), norm_pdf(_moneyness(pivots, strike, sigma))
+        payoff = pivots.forward - strike
+        ref_price, vega = _call_price_pdf(payoff, sigma * sqrt_t, pivots.discount)
         if vega == 0.0:  # every hedge weight divides by it, in arrays too
-            raise ZeroDivisionError(f"pivot {strike} has no vega at reference vol {sigma}")
-        legs.append((vega, bachelier_price(spec, vol) - bachelier_price(spec, sigma)))
+            raise ZeroVega(f"pivot {strike} has no vega at reference vol {sigma}")
+        price = _call_price_pdf(payoff, vol * sqrt_t, pivots.discount)[0]
+        legs.append((vega, price - ref_price))
     return tuple(legs)
 
 
@@ -223,7 +231,8 @@ def vv_price(pivots: PivotSet, k0):
 
     `k0` may also be a float array. May fall below intrinsic value in
     the far wings of a frown; that is a known failure mode of the
-    construction, and detecting it is the caller's job.
+    construction, and detecting it is the caller's job. Raises
+    :class:`ZeroVega` when a pivot has no vega at the reference vol.
     """
     stddev = pivots.ref_vol * math.sqrt(pivots.expiry)
     price, vega0 = _call_price_pdf(pivots.forward - k0, stddev, pivots.discount)
@@ -287,14 +296,6 @@ class SmileGrid:
     points: tuple[SmilePoint, ...]
 
     @property
-    def strikes(self) -> tuple[float, ...]:
-        return tuple(p.strike for p in self.points)
-
-    @property
-    def vols(self) -> tuple[float | None, ...]:
-        return tuple(p.vol for p in self.points)
-
-    @property
     def failed_strikes(self) -> tuple[float, ...]:
         return tuple(p.strike for p in self.points if p.status != STATUS_OK)
 
@@ -336,11 +337,11 @@ def calibrate_reference_vol(
     Scans [0.2*min(vols), 5*max(vols)] geometrically for a sign change of
     the vol residual, expanding the range once if none appears, then
     solves with Brent. Scan points where the smile itself fails
-    (below-intrinsic hedge price) are skipped, so failed regions at the
-    extremes only shrink the usable bracket. Raises :class:`NoRoot` with
-    the endpoint residuals when no sign change can be found; when the
-    residual is multi-rooted the returned root is whichever the scan
-    isolates first.
+    (below-intrinsic hedge price, or a pivot with no vega) are skipped,
+    so failed regions at the extremes only shrink the usable bracket.
+    Raises :class:`NoRoot` with the endpoint residuals when no sign
+    change can be found; when the residual is multi-rooted the returned
+    root is whichever the scan isolates first.
     """
     from scipy.optimize import brentq
 
@@ -351,7 +352,10 @@ def calibrate_reference_vol(
         raise ValueError(f"fourth vol must be positive, got {sigma4}")
 
     def residual(ref: float) -> float | None:
-        vol = vv_smile_exact(pivots.with_reference(ref), k4)
+        try:
+            vol = vv_smile_exact(pivots.with_reference(ref), k4)
+        except ZeroVega:
+            return None
         return None if vol is None else vol - sigma4
 
     def strict_residual(ref: float) -> float:

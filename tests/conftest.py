@@ -1,3 +1,4 @@
+import os
 import re
 from pathlib import Path
 
@@ -5,6 +6,12 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+# The CLI tests start `python -m normal_vv.cli` in fresh interpreters;
+# they inherit this, so the suite runs from a checkout without an install.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")))
+)
 
 ACCEPTANCE_CRITERIA = {
     1: "analytic Greeks match central finite differences; put-call parity",

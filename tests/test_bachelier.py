@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from normal_vv import OptionSpec, bachelier_greeks, bachelier_price, black76_price
+from normal_vv import OptionSpec, bachelier_greeks, bachelier_price
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 # Frozen oracle: quad integration of E[(F_T - K)^+] with F_T ~ N(0, 51^2)
 # over z in [(K-F)/s, 12], epsabs=epsrel=1e-13 (error estimate 9e-13);
@@ -82,6 +83,27 @@ class TestPrice:
             put = bachelier_price(spec(F, K, T, df, "put"), sigma)
             gap = abs(call - put - df * (F - K))
             assert gap <= 1e-13 * max(1.0, abs(call), abs(put))
+
+    def test_textbook_formula_bit_for_bit(self):
+        # Puts are priced as calls on K - F; that reflection must change
+        # no bit of the textbook put formula, deep in both wings too.
+        def cdf(x):
+            return 0.5 * math.erfc(-x * INV_SQRT_2)
+
+        def pdf(x):
+            return math.exp(-0.5 * x * x) / SQRT_2PI
+
+        for F in (-250.0, -7.0, 0.0, 3.5, 120.0):
+            for sigma, T, df in ((0.7, 0.05, 1.0), (50.0, 1.0, 0.93), (333.0, 12.0, 0.41)):
+                stddev = sigma * math.sqrt(T)
+                for K in (F - np.linspace(-9.0, 9.0, 73) * stddev).tolist():
+                    d = (F - K) / stddev
+                    call = df * ((F - K) * cdf(d) + stddev * pdf(d))
+                    put = df * ((K - F) * cdf(-d) + stddev * pdf(d))
+                    for kind, expected in (("call", call), ("put", put)):
+                        s = spec(F, K, T, df, kind)
+                        assert bachelier_price(s, sigma) == expected, (F, K, kind)
+                        assert bachelier_greeks(s, sigma).price == expected
 
     def test_rejects_nonpositive_vol(self):
         with pytest.raises(ValueError):
@@ -164,30 +186,6 @@ class TestGreeks:
         assert p.vanna_forward == c.vanna_forward
         assert p.volga == c.volga
         assert c.delta_forward - p.delta_forward == pytest.approx(1.0, rel=1e-13)
-
-
-class TestBlack76:
-    def test_near_atm_agreement_with_normal(self):
-        s = spec(F=100.0, K=100.0)
-        lognormal = black76_price(s, 0.20)
-        normal = bachelier_price(s, 20.0)
-        assert abs(lognormal - normal) / normal < 0.01
-
-    def test_vanishing_vol(self):
-        assert black76_price(spec(F=100.0, K=100.0), 1e-10) == pytest.approx(0.0, abs=1e-8)
-
-    def test_parity(self):
-        s_call = spec(F=110.0, K=90.0, T=2.0, df=0.97)
-        s_put = spec(F=110.0, K=90.0, T=2.0, df=0.97, kind="put")
-        call = black76_price(s_call, 0.3)
-        put = black76_price(s_put, 0.3)
-        assert call - put == pytest.approx(0.97 * 20.0, rel=1e-13)
-
-    def test_requires_positive_forward_and_strike(self):
-        with pytest.raises(ValueError):
-            black76_price(spec(F=-1.0, K=100.0), 0.2)
-        with pytest.raises(ValueError):
-            black76_price(spec(F=100.0, K=0.0), 0.2)
 
 
 class TestOptionSpec:

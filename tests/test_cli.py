@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -149,6 +150,17 @@ class TestSmileCommands:
         assert methods == {"vv-exact", "sabr"}
         assert len(rows) == 5 * 61 + 61
 
+    def test_reference_without_pivot_vega_is_numerical_failure(self, tmp_path, scenario1):
+        scenario = json.loads(open(scenario1).read())
+        scenario["reference_vols"] = [0.5]
+        path = tmp_path / "novega.json"
+        path.write_text(json.dumps(scenario))
+        result = run_cli("vv-smile", str(path))
+        assert result.returncode == 3
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "ZeroVega"
+        assert "no vega at reference vol 0.5" in payload["detail"]
+
     def test_flat_pivots_produce_flat_grid(self, tmp_path):
         scenario = tmp_path / "flat.json"
         scenario.write_text(
@@ -226,6 +238,26 @@ class TestFitCommands:
         assert result.returncode == 3
         payload = json.loads(result.stderr)
         assert payload["error"] == "NoRoot"
+
+    def test_pivot_without_vega_is_numerical_failure(self, tmp_path):
+        # The expanded bracket scan reaches reference vol 2, where the
+        # pivot at -100 has no vega; that scan point is skipped.
+        scenario = {
+            "forward": 0.0,
+            "expiry": 1.0,
+            "pivots": [
+                {"strike": -100.0, "vol": 51.0},
+                {"strike": 0.0, "vol": 50.0},
+                {"strike": 100.0, "vol": 52.0},
+            ],
+            "fourth_quote": {"strike": 150.0, "vol": 500.0},
+            "grid": {"min": -100.0, "max": 100.0, "step": 10.0},
+        }
+        path = tmp_path / "novega.json"
+        path.write_text(json.dumps(scenario))
+        result = run_cli("vv-fit", str(path))
+        assert result.returncode == 3
+        assert json.loads(result.stderr)["error"] == "NoRoot"
 
     def test_sabr_fit_frown_reports_residuals(self, scenario2):
         result = run_cli("sabr-fit", scenario2)
@@ -330,3 +362,73 @@ def test_import_leaves_scipy_optimize_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+SCENARIO_COMMANDS = ("vv-smile", "sabr-smile", "compare", "vv-fit", "sabr-fit", "density")
+SCENARIO_NAMES = (
+    "scenario1_smile.json",
+    "scenario2_frown.json",
+    "scenario3_density.json",
+    "scenario4_density_bimodal.json",
+)
+OPTION_COMMANDS = (
+    "price --forward 0 --strike 10 --expiry 1 --vol 50",
+    "price --forward 1.5 --strike -20 --expiry 2 --df 0.9 --vol 33 --put",
+    "invert --forward 0 --strike 10 --expiry 1 --price 15",
+    "invert --forward 0 --strike 0 --expiry 1 --price 19.947",
+)
+
+# First 16 hex digits of sha256(stdout NUL stderr NUL exit code) per command.
+# A change that moves digits on purpose updates the affected entries and
+# says which and why in CHANGES.md.
+GOLDEN_HASHES = {
+    "vv-smile scenario1_smile.json": "9ba2879b1a82cd59",
+    "sabr-smile scenario1_smile.json": "65bc81a8c2c81cfe",
+    "compare scenario1_smile.json": "b5ec42591a3eed99",
+    "vv-fit scenario1_smile.json": "c200636e092fef2a",
+    "sabr-fit scenario1_smile.json": "b040695b03a3f747",
+    "density scenario1_smile.json": "f99734aa1585cd09",
+    "vv-smile scenario2_frown.json": "ddf29ea46aedc376",
+    "sabr-smile scenario2_frown.json": "f5de47666a8bf170",
+    "compare scenario2_frown.json": "b0673f930f754a5e",
+    "vv-fit scenario2_frown.json": "5f3a006d2e38643e",
+    "sabr-fit scenario2_frown.json": "74dc4909fa5e2c7d",
+    "density scenario2_frown.json": "251585beedff6c00",
+    "vv-smile scenario3_density.json": "c5c8a707f91bc808",
+    "sabr-smile scenario3_density.json": "21d683ad47913025",
+    "compare scenario3_density.json": "2b669f225c8ae0b5",
+    "vv-fit scenario3_density.json": "5f3a006d2e38643e",
+    "sabr-fit scenario3_density.json": "74dc4909fa5e2c7d",
+    "density scenario3_density.json": "894e34d1eee1abd3",
+    "vv-smile scenario4_density_bimodal.json": "cc4386b1eeef0686",
+    "sabr-smile scenario4_density_bimodal.json": "4b19eb2ca101b901",
+    "compare scenario4_density_bimodal.json": "3e72f4f8653479db",
+    "vv-fit scenario4_density_bimodal.json": "5f3a006d2e38643e",
+    "sabr-fit scenario4_density_bimodal.json": "f0af38d5cf841a08",
+    "density scenario4_density_bimodal.json": "5da54e91d8c1916d",
+    "price --forward 0 --strike 10 --expiry 1 --vol 50": "c8728357279a601c",
+    "price --forward 1.5 --strike -20 --expiry 2 --df 0.9 --vol 33 --put": "f541f7beaec2546e",
+    "invert --forward 0 --strike 10 --expiry 1 --price 15": "e3611cd373d958ea",
+    "invert --forward 0 --strike 0 --expiry 1 --price 19.947": "8cbe89ddfdf2255f",
+}
+
+
+def output_hash(result) -> str:
+    blob = result.stdout + b"\0" + result.stderr + b"\0" + str(result.returncode).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def golden_argv(command, scenario_dir):
+    words = command.split()
+    if words[0] in SCENARIO_COMMANDS:
+        words[1] = str(scenario_dir / words[1])
+    return words
+
+
+@pytest.mark.parametrize(
+    "command",
+    [f"{c} {s}" for s in SCENARIO_NAMES for c in SCENARIO_COMMANDS] + list(OPTION_COMMANDS),
+)
+def test_golden_output(command, scenario_dir):
+    result = subprocess.run(CLI + golden_argv(command, scenario_dir), capture_output=True)
+    assert output_hash(result) == GOLDEN_HASHES[command]

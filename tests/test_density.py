@@ -7,7 +7,6 @@ from normal_vv import (
     OptionSpec,
     PivotSet,
     bachelier_price,
-    default_density_window,
     density_diagnostics,
     density_from_prices,
     vv_price,
@@ -156,9 +155,3 @@ class TestModeCounting:
 
     def test_flat_segment_is_one_mode(self):
         assert _segment_modes([1.0, 1.0, 1.0]) == 1
-
-
-def test_default_window():
-    lo, hi = default_density_window(10.0, 50.0, 4.0)
-    assert lo == 10.0 - 4.0 * 50.0 * 2.0
-    assert hi == 10.0 + 4.0 * 50.0 * 2.0

@@ -9,7 +9,6 @@ from normal_vv import (
     OptionSpec,
     bachelier_price,
     implied_normal_vol,
-    implied_normal_vol_atm,
 )
 from normal_vv.implied_vol import _implied_call_vols
 
@@ -162,20 +161,17 @@ def test_array_inverter_matches_scalar(F, T, df, sigma):
 
 
 class TestAtmClosedForm:
+    # At F == K the inverter starts from sigma = price * sqrt(2*pi/T) / df.
     def test_inverts_exactly(self):
         s = spec(T=4.0)
         price = 25.0 * 2.0 / SQRT_2PI
-        assert implied_normal_vol_atm(price, s) == pytest.approx(25.0, rel=1e-14)
+        assert implied_normal_vol(price, s) == pytest.approx(25.0, rel=1e-14)
 
     def test_round_trip_with_pricer(self):
         s = spec(F=-7.0, K=-7.0, T=0.25, df=0.9)
         price = bachelier_price(s, 80.0)
-        assert implied_normal_vol_atm(price, s) == pytest.approx(80.0, rel=1e-13)
+        assert implied_normal_vol(price, s) == pytest.approx(80.0, rel=1e-13)
 
     def test_rejects_zero_price(self):
-        with pytest.raises(ValueError):
-            implied_normal_vol_atm(0.0, spec())
-
-    def test_rejects_off_forward_strike(self):
-        with pytest.raises(ValueError):
-            implied_normal_vol_atm(1.0, spec(K=1.0))
+        with pytest.raises(ArbitrageViolation):
+            implied_normal_vol(0.0, spec())

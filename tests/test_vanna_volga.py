@@ -10,6 +10,7 @@ from normal_vv import (
     OptionSpec,
     PivotSet,
     SmilePoint,
+    ZeroVega,
     bachelier_price,
     calibrate_reference_vol,
     verify_risk_elimination,
@@ -377,6 +378,20 @@ class TestReferenceCalibration:
         with pytest.raises(NoRoot) as excinfo:
             calibrate_reference_vol(base, (100.0, 250.0))
         assert excinfo.value.bracket is not None
+
+    @pytest.mark.parametrize("planted", [300.0, 700.0])
+    def test_scan_skips_pivots_without_vega(self, planted):
+        # Only the expanded scan brackets these roots, and it starts at
+        # reference vol 2, where the pivot at -100 (d = 50) has no vega.
+        base = PivotSet(0.0, 1.0, (-100.0, 0.0, 100.0), (51.0, 50.0, 52.0), 1.0)
+        assert issubclass(ZeroVega, ZeroDivisionError)
+        with pytest.raises(ZeroVega, match="pivot -100.0 has no vega at reference vol 2.0"):
+            vv_price(base.with_reference(2.0), 150.0)
+        target = vv_smile_exact(base.with_reference(planted), 150.0)
+        recovered = calibrate_reference_vol(base, (150.0, target))
+        assert recovered == pytest.approx(planted, rel=1e-9)
+        with pytest.raises(NoRoot):
+            calibrate_reference_vol(base, (150.0, 500.0))
 
     def test_rejects_pivot_strike_and_bad_vol(self):
         base = PivotSet(0.0, 1.0, STRIKES, (51.0, 50.0, 52.0), 1.0)
