@@ -60,8 +60,12 @@ class OptionSpec:
     kind: str = "call"
 
     def __post_init__(self) -> None:
-        if not self.expiry > 0.0:
-            raise ValueError(f"expiry must be positive, got {self.expiry}")
+        if not math.isfinite(self.forward):
+            raise ValueError(f"forward must be finite, got {self.forward}")
+        if not math.isfinite(self.strike):
+            raise ValueError(f"strike must be finite, got {self.strike}")
+        if not 0.0 < self.expiry < math.inf:
+            raise ValueError(f"expiry must be positive and finite, got {self.expiry}")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount factor must be in (0, 1], got {self.discount}")
         if self.kind not in ("call", "put"):
@@ -136,5 +140,5 @@ def _require_positive_vol(sigma: float) -> None:
     # sigma = 0 is rejected rather than mapped to intrinsic value: every
     # downstream formula divides by sigma, and callers wanting intrinsic
     # can compute it directly.
-    if not sigma > 0.0:
-        raise ValueError(f"volatility must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"volatility must be positive and finite, got {sigma}")

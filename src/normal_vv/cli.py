@@ -14,17 +14,19 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 from .bachelier import OptionSpec, bachelier_greeks, bachelier_price
 from .density import density_from_prices
 from .implied_vol import ArbitrageViolation, implied_normal_vol
 from .sabr import CalibrationFailure, sabr_fit, sabr_normal_vol
 from .vanna_volga import (
+    STATUS_OK,
+    VV_METHODS,
     NegativeDiscriminant,
     NoRoot,
     PivotSet,
-    SmileGrid,
     ZeroVega,
     calibrate_reference_vol,
     vv_price,
@@ -32,8 +34,14 @@ from .vanna_volga import (
     vv_smile_grid,
 )
 
-VV_METHODS = ("vv-exact", "vv-first", "vv-second")
 ALL_METHODS = VV_METHODS + ("sabr",)
+# The methods each smile command prints, given the scenario's vanna-volga
+# methods (vv-exact when it lists none).
+SMILE_COMMANDS = {
+    "vv-smile": lambda vv: vv,
+    "sabr-smile": lambda vv: ["sabr"],
+    "compare": lambda vv: vv + ["sabr"],
+}
 
 SMILE_HEADER = "strike,vol,method,reference_vol,status"
 DENSITY_HEADER = "x,density,method"
@@ -77,7 +85,7 @@ def _zero_discount_message(label: str) -> str:
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_int=float)  # an int beyond float range is inf
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -93,6 +101,8 @@ def load_scenario(path: str) -> Scenario:
     def number(value, label):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ScenarioError(f"{label} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ScenarioError(f"{label} must be finite, got {value!r}")
         return float(value)
 
     forward = number(need("forward"), "forward")
@@ -113,14 +123,11 @@ def load_scenario(path: str) -> Scenario:
         vols.append(number(entry.get("vol"), f"pivot {i} vol"))
 
     refs_raw = raw.get("reference_vols")
-    if refs_raw is None and "reference_vol" in raw:
-        refs_raw = [raw["reference_vol"]]
     if refs_raw is None:
-        refs = (vols[1],)
-    else:
-        if not isinstance(refs_raw, list) or not refs_raw:
-            raise ScenarioError("reference_vols must be a non-empty list of numbers")
-        refs = tuple(number(v, "reference vol") for v in refs_raw)
+        refs_raw = [raw["reference_vol"]] if "reference_vol" in raw else [vols[1]]
+    if not isinstance(refs_raw, list) or not refs_raw:
+        raise ScenarioError("reference_vols must be a non-empty list of numbers")
+    refs = tuple(number(v, "reference vol") for v in refs_raw)
 
     fourth = None
     if "fourth_quote" in raw:
@@ -141,17 +148,14 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"grid step must be positive, got {grid_step}")
 
     methods_raw = raw.get("methods")
-    if methods_raw is None and "method" in raw:
-        methods_raw = [raw["method"]]
     if methods_raw is None:
-        methods = ("vv-exact",)
-    else:
-        if not isinstance(methods_raw, list) or not methods_raw:
-            raise ScenarioError("methods must be a non-empty list")
-        for m in methods_raw:
-            if m not in ALL_METHODS:
-                raise ScenarioError(f"unknown method {m!r}; choose from {ALL_METHODS}")
-        methods = tuple(methods_raw)
+        methods_raw = [raw["method"]] if "method" in raw else ["vv-exact"]
+    if not isinstance(methods_raw, list) or not methods_raw:
+        raise ScenarioError("methods must be a non-empty list")
+    for m in methods_raw:
+        if m not in ALL_METHODS:
+            raise ScenarioError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+    methods = tuple(methods_raw)
 
     # Step for the density second difference, decoupled from grid spacing.
     density_delta = number(raw.get("density_delta", grid_step / 10.0), "density_delta")
@@ -189,102 +193,65 @@ def _fmt(value: float | None) -> str:
     return f"{value:.12g}"
 
 
-def _round12(value: float) -> float:
-    return float(f"{value:.12g}") + 0.0
+def _round12(value):
+    """`value` with every float in it, through lists, tuples and dicts,
+    rounded to 12 significant digits and -0.0 folded to 0.0."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}") + 0.0
+    if isinstance(value, dict):
+        return {key: _round12(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round12(item) for item in value]
+    return value
 
 
-def _emit_json(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
-
-
-def _smile_rows(grid: SmileGrid, reference_label: float | None) -> list[str]:
-    rows = []
-    for point in grid.points:
-        rows.append(
-            ",".join(
-                (
-                    _fmt(point.strike),
-                    _fmt(point.vol),
-                    grid.method,
-                    _fmt(reference_label),
-                    point.status,
-                )
-            )
-        )
-    return rows
+def _emit_json(record: dict, file=None) -> None:
+    """Print `record` as one sorted-key JSON line, floats at 12 digits."""
+    print(json.dumps(_round12(record), sort_keys=True), file=file)
 
 
 def _spec_from_args(args) -> OptionSpec:
     if args.df == 0.0:
         raise ValueError(_zero_discount_message("df"))
-    return OptionSpec(
-        forward=args.forward,
-        strike=args.strike,
-        expiry=args.expiry,
-        discount=args.df,
-        kind="put" if args.put else "call",
-    )
+    kind = "put" if args.put else "call"
+    return OptionSpec(args.forward, args.strike, args.expiry, args.df, kind)
 
 
 def cmd_price(args) -> int:
-    spec = _spec_from_args(args)
-    greeks = bachelier_greeks(spec, args.vol)
-    _emit_json(
-        {
-            "price": _round12(greeks.price),
-            "delta_forward": _round12(greeks.delta_forward),
-            "vega": _round12(greeks.vega),
-            "gamma_forward": _round12(greeks.gamma_forward),
-            "vanna_forward": _round12(greeks.vanna_forward),
-            "volga": _round12(greeks.volga),
-            "moneyness": _round12(greeks.moneyness),
-        }
-    )
+    _emit_json(asdict(bachelier_greeks(_spec_from_args(args), args.vol)))
     return 0
 
 
 def cmd_invert(args) -> int:
-    spec = _spec_from_args(args)
-    vol = implied_normal_vol(args.price, spec)
-    _emit_json({"implied_vol": _round12(vol)})
+    _emit_json({"implied_vol": implied_normal_vol(args.price, _spec_from_args(args))})
     return 0
 
 
-def _scenario_smile_rows(scenario: Scenario, methods) -> list[str]:
+def cmd_smile(args) -> int:
+    scenario = load_scenario(args.scenario)
+    pivots, strikes = scenario.pivots, scenario.strikes()
+    vv_methods = [m for m in scenario.methods if m in VV_METHODS] or ["vv-exact"]
     rows = [SMILE_HEADER]
-    strikes = scenario.strikes()
-    for method in methods:
+    for method in SMILE_COMMANDS[args.command](vv_methods):
+        # One (strike, vol, reference vol, status) per row: vanna-volga
+        # draws a curve per reference vol, SABR one curve without.
         if method == "sabr":
-            fit = sabr_fit(scenario.pivots)
-            for k in strikes:
-                vol = sabr_normal_vol(
-                    fit.params, scenario.pivots.forward, scenario.pivots.expiry, k
-                )
-                rows.append(",".join((_fmt(k), _fmt(vol), "sabr", "", "ok")))
+            params = sabr_fit(pivots).params
+            points = [
+                (k, sabr_normal_vol(params, pivots.forward, pivots.expiry, k), None, STATUS_OK)
+                for k in strikes
+            ]
         else:
-            for ref in scenario.reference_vols:
-                grid = vv_smile_grid(scenario.pivots.with_reference(ref), strikes, method)
-                rows.extend(_smile_rows(grid, ref))
-    return rows
-
-
-def cmd_vv_smile(args) -> int:
-    scenario = load_scenario(args.scenario)
-    methods = [m for m in scenario.methods if m in VV_METHODS] or ["vv-exact"]
-    print("\n".join(_scenario_smile_rows(scenario, methods)))
-    return 0
-
-
-def cmd_sabr_smile(args) -> int:
-    scenario = load_scenario(args.scenario)
-    print("\n".join(_scenario_smile_rows(scenario, ["sabr"])))
-    return 0
-
-
-def cmd_compare(args) -> int:
-    scenario = load_scenario(args.scenario)
-    methods = [m for m in scenario.methods if m in VV_METHODS] or ["vv-exact"]
-    print("\n".join(_scenario_smile_rows(scenario, methods + ["sabr"])))
+            points = [
+                (p.strike, p.vol, ref, p.status)
+                for ref in scenario.reference_vols
+                for p in vv_smile_grid(pivots.with_reference(ref), strikes, method).points
+            ]
+        rows.extend(
+            ",".join((_fmt(k), _fmt(vol), method, _fmt(ref), status))
+            for k, vol, ref, status in points
+        )
+    print("\n".join(rows))
     return 0
 
 
@@ -297,25 +264,22 @@ def cmd_vv_fit(args) -> int:
     achieved = vv_smile_exact(scenario.pivots.with_reference(reference), k4)
     _emit_json(
         {
-            "reference_vol": _round12(reference),
-            "fourth_strike": _round12(k4),
-            "fourth_vol": _round12(sigma4),
-            "residual": _round12((achieved - sigma4) if achieved is not None else math.nan),
+            "reference_vol": reference,
+            "fourth_strike": k4,
+            "fourth_vol": sigma4,
+            "residual": math.nan if achieved is None else achieved - sigma4,
         }
     )
     return 0
 
 
 def cmd_sabr_fit(args) -> int:
-    scenario = load_scenario(args.scenario)
-    fit = sabr_fit(scenario.pivots)
+    fit = sabr_fit(load_scenario(args.scenario).pivots)
     _emit_json(
         {
-            "alpha": _round12(fit.params.alpha),
-            "nu": _round12(fit.params.nu),
-            "rho": _round12(fit.params.rho),
-            "residuals": [_round12(r) for r in fit.residuals],
-            "max_abs_residual": _round12(fit.max_abs_residual),
+            **asdict(fit.params),
+            "residuals": fit.residuals,
+            "max_abs_residual": fit.max_abs_residual,
         }
     )
     return 0
@@ -323,49 +287,40 @@ def cmd_sabr_fit(args) -> int:
 
 def cmd_density(args) -> int:
     scenario = load_scenario(args.scenario)
-    strikes = scenario.strikes()
-    pivots = scenario.pivots
+    pivots, strikes = scenario.pivots, scenario.strikes()
     rows = [DENSITY_HEADER]
     diagnostics: dict[str, dict] = {}
     for method in scenario.methods:
         if method == "sabr":
-            fit = sabr_fit(pivots)
+            params = sabr_fit(pivots).params
 
-            def price_fn(k: float, _fit=fit):
-                vol = sabr_normal_vol(_fit.params, pivots.forward, pivots.expiry, k)
-                if not vol > 0.0:
-                    return None
-                return bachelier_price(pivots.call_spec(k), vol)
-
-            source = "sabr"
+            def price_fn(k: float):
+                vol = sabr_normal_vol(params, pivots.forward, pivots.expiry, k)
+                return bachelier_price(pivots.call_spec(k), vol) if vol > 0.0 else None
         else:
             # Density always comes from the replication price, so every
             # vv-* method selector shares one price function.
-            anchored = pivots.with_reference(scenario.reference_vols[0])
-
-            def price_fn(k: float, _pivots=anchored):
-                return vv_price(_pivots, k)
-
-            source = "vv"
+            price_fn = partial(vv_price, pivots.with_reference(scenario.reference_vols[0]))
+        source = "sabr" if method == "sabr" else "vv"
         grid = density_from_prices(
             price_fn, pivots.discount, strikes, scenario.density_delta, source
         )
         for x, f in zip(grid.x, grid.values):
             rows.append(",".join((_fmt(float(x)), _fmt(float(f)), method)))
+        summary = grid.diagnostics
         diagnostics[method] = {
-            "integral": _round12(grid.diagnostics.integral),
-            "mean": _round12(grid.diagnostics.mean),
-            "min_value": _round12(grid.diagnostics.min_value),
-            "modes": grid.diagnostics.mode_count,
-            "gaps": grid.diagnostics.gap_count,
+            "integral": summary.integral,
+            "mean": summary.mean,
+            "min_value": summary.min_value,
+            "modes": summary.mode_count,
+            "gaps": summary.gap_count,
         }
     print("\n".join(rows))
-    payload = json.dumps(diagnostics, sort_keys=True)
     if args.diagnostics_out:
         with open(args.diagnostics_out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+            _emit_json(diagnostics, handle)
     else:
-        print(payload, file=sys.stderr)
+        _emit_json(diagnostics, sys.stderr)
     return 0
 
 
@@ -396,24 +351,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_invert)
 
     for name, handler, blurb in (
-        ("vv-smile", cmd_vv_smile, "vanna-volga smile grid as CSV"),
-        ("sabr-smile", cmd_sabr_smile, "calibrated SABR smile grid as CSV"),
-        ("compare", cmd_compare, "vanna-volga and SABR grids in one CSV"),
+        ("vv-smile", cmd_smile, "vanna-volga smile grid as CSV"),
+        ("sabr-smile", cmd_smile, "calibrated SABR smile grid as CSV"),
+        ("compare", cmd_smile, "vanna-volga and SABR grids in one CSV"),
         ("vv-fit", cmd_vv_fit, "calibrate the reference vol to a fourth quote"),
         ("sabr-fit", cmd_sabr_fit, "calibrate SABR to the three pivots"),
+        ("density", cmd_density, "risk-neutral density grid as CSV"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.set_defaults(handler=handler)
-
-    p = sub.add_parser("density", help="risk-neutral density grid as CSV")
-    p.add_argument("scenario", help="path to a scenario JSON file")
-    p.add_argument(
-        "--diagnostics-out",
-        default=None,
-        help="write the diagnostics JSON line to this file instead of stderr",
-    )
-    p.set_defaults(handler=cmd_density)
+        if name == "density":
+            p.add_argument(
+                "--diagnostics-out",
+                default=None,
+                help="write the diagnostics JSON line to this file instead of stderr",
+            )
 
     return parser
 
@@ -429,8 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ArbitrageViolation, NoRoot, CalibrationFailure, NegativeDiscriminant, ZeroVega
     ) as exc:
-        payload = {"error": type(exc).__name__, "detail": str(exc)}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        _emit_json({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

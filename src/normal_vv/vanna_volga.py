@@ -36,6 +36,7 @@ __all__ = [
     "verify_risk_elimination",
 ]
 
+VV_METHODS = ("vv-exact", "vv-first", "vv-second")
 FAILED_BELOW_INTRINSIC = "failed_below_intrinsic"
 STATUS_OK = "ok"
 
@@ -83,18 +84,24 @@ class PivotSet:
     reference_vol: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.expiry > 0.0:
-            raise ValueError(f"expiry must be positive, got {self.expiry}")
+        if not math.isfinite(self.forward):
+            raise ValueError(f"forward must be finite, got {self.forward}")
+        if not 0.0 < self.expiry < math.inf:
+            raise ValueError(f"expiry must be positive and finite, got {self.expiry}")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount factor must be in (0, 1], got {self.discount}")
         if len(self.strikes) != 3 or len(self.vols) != 3:
             raise ValueError("exactly three pivots are required")
-        if not self.strikes[0] < self.strikes[1] < self.strikes[2]:
-            raise ValueError(f"pivot strikes must strictly increase, got {self.strikes}")
-        if any(not v > 0.0 for v in self.vols):
-            raise ValueError(f"pivot vols must be positive, got {self.vols}")
-        if self.reference_vol is not None and not self.reference_vol > 0.0:
-            raise ValueError(f"reference vol must be positive, got {self.reference_vol}")
+        if not -math.inf < self.strikes[0] < self.strikes[1] < self.strikes[2] < math.inf:
+            raise ValueError(
+                f"pivot strikes must be finite and strictly increase, got {self.strikes}"
+            )
+        if any(not 0.0 < v < math.inf for v in self.vols):
+            raise ValueError(f"pivot vols must be positive and finite, got {self.vols}")
+        if self.reference_vol is not None and not 0.0 < self.reference_vol < math.inf:
+            raise ValueError(
+                f"reference vol must be positive and finite, got {self.reference_vol}"
+            )
 
     @property
     def ref_vol(self) -> float:
@@ -259,7 +266,7 @@ def verify_risk_elimination(pivots: PivotSet, k0: float) -> HedgeResiduals:
     """Residuals of the three hedge-cancellation constraints at `k0`.
 
     With exact arithmetic all three vanish; in floats they sit at the
-    rounding floor. Used by tests and the CLI diagnostics.
+    rounding floor. The tests check them, acceptance criterion 3 among them.
     """
     weights = vv_weights(pivots, k0)
     sqrt_t = math.sqrt(pivots.expiry)
@@ -307,7 +314,7 @@ def vv_smile_grid(pivots: PivotSet, strikes, method: str = "vv-exact") -> SmileG
     carries the hedge-replication price. Exact-method points whose price
     violates the intrinsic bound are marked failed and keep vol=None.
     """
-    if method not in ("vv-exact", "vv-first", "vv-second"):
+    if method not in VV_METHODS:
         raise ValueError(f"unknown vanna-volga method {method!r}")
     k = np.fromiter(strikes, dtype=float)
     prices = vv_price(pivots, k)
@@ -361,30 +368,23 @@ def calibrate_reference_vol(
     def strict_residual(ref: float) -> float:
         value = residual(ref)
         if value is None:
-            raise _SmileFailed(ref)
+            raise NoRoot(
+                f"smile construction failed at reference vol {ref:.6g} "
+                f"while solving for the fourth quote (K={k4}, vol={sigma4})",
+                bracket=(a, b),
+            )
         return value
 
     lo = _BRACKET_LO_FACTOR * min(pivots.vols)
     hi = _BRACKET_HI_FACTOR * max(pivots.vols)
-    for attempt in range(2):
-        found = _bracket(residual, lo, hi)
+    for lo, hi in ((lo, hi), (lo / _BRACKET_EXPAND, hi * _BRACKET_EXPAND)):
+        found, ends = _bracket(residual, lo, hi)
         if found is not None:
             a, b = found
             if a == b:
                 return float(a)
-            try:
-                root = brentq(strict_residual, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-            except _SmileFailed as exc:
-                raise NoRoot(
-                    f"smile construction failed at reference vol {exc.ref:.6g} "
-                    f"while solving for the fourth quote (K={k4}, vol={sigma4})",
-                    bracket=(a, b),
-                ) from None
-            return float(root)
-        if attempt == 0:
-            lo /= _BRACKET_EXPAND
-            hi *= _BRACKET_EXPAND
-    r_lo, r_hi = _endpoint_report(residual, lo, hi)
+            return float(brentq(strict_residual, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200))
+    r_lo, r_hi = ("smile-failed" if r is None else f"{r:.6g}" for r in ends)
     raise NoRoot(
         f"no reference vol in [{lo:.6g}, {hi:.6g}] reprices the fourth quote "
         f"(K={k4}, vol={sigma4}); endpoint residuals {r_lo} and {r_hi}",
@@ -393,40 +393,29 @@ def calibrate_reference_vol(
     )
 
 
-class _SmileFailed(Exception):
-    def __init__(self, ref: float):
-        self.ref = ref
-        super().__init__(ref)
-
-
 _SCAN_SAMPLES = 25
 
 
 def _bracket(residual, lo: float, hi: float):
     """First sign change of `residual` over a geometric scan of [lo, hi].
 
-    Points where the smile fails to construct are skipped, so a failed
-    region at either extreme shrinks the usable bracket instead of
-    killing the search.
+    Returns ``(a, b), None`` at a sign change (a == b at an exact zero),
+    else ``None, (residual(lo), residual(hi))``. Points where the smile
+    fails to construct are skipped, so a failed region at either extreme
+    shrinks the usable bracket instead of killing the search.
     """
     ratio = (hi / lo) ** (1.0 / (_SCAN_SAMPLES - 1))
     prev: tuple[float, float] | None = None
     x = lo
     for i in range(_SCAN_SAMPLES):
         value = residual(x)
+        if i == 0:
+            first = value
         if value is not None and math.isfinite(value):
             if value == 0.0:
-                return x, x
+                return (x, x), None
             if prev is not None and prev[1] * value < 0.0:
-                return prev[0], x
+                return (prev[0], x), None
             prev = (x, value)
         x = hi if i == _SCAN_SAMPLES - 2 else x * ratio
-    return None
-
-
-def _endpoint_report(residual, lo: float, hi: float):
-    def fmt(x):
-        value = residual(x)
-        return "smile-failed" if value is None else f"{value:.6g}"
-
-    return fmt(lo), fmt(hi)
+    return None, (first, value)

@@ -111,6 +111,13 @@ class TestPrice:
         with pytest.raises(ValueError):
             bachelier_price(spec(), -3.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_nonfinite_vol(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            bachelier_price(spec(), sigma)
+        with pytest.raises(ValueError, match="finite"):
+            bachelier_greeks(spec(), sigma)
+
 
 class TestGreeks:
     def test_atm_values(self):
@@ -200,6 +207,21 @@ class TestOptionSpec:
             OptionSpec(0.0, 0.0, 1.0, discount=1.5)
         with pytest.raises(ValueError):
             OptionSpec(0.0, 0.0, 1.0, kind="straddle")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"F": math.nan},
+            {"F": -math.inf},
+            {"K": math.nan},
+            {"K": math.inf},
+            {"T": math.inf},
+            {"T": math.nan},
+        ],
+    )
+    def test_rejects_nonfinite_fields(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            spec(**fields)
 
     def test_intrinsic(self):
         assert OptionSpec(10.0, -5.0, 1.0, 0.5).intrinsic() == 7.5

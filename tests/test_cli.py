@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -61,6 +62,23 @@ class TestPriceCommand:
     def test_missing_vol_is_usage_error(self):
         result = run_cli("price", "--forward", 0, "--strike", 0, "--expiry", 1, "--df", 1)
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "price --forward nan --strike 0 --expiry 1 --vol 50",
+            "price --forward 0 --strike 0 --expiry inf --vol 50",
+            "price --forward 0 --strike inf --expiry 1 --vol 50",
+            "price --forward 0 --strike 0 --expiry 1 --vol inf",
+            "invert --forward 0 --strike 0 --expiry inf --price 10",
+            "invert --forward 0 --strike nan --expiry 1 --price 10",
+        ],
+    )
+    def test_nonfinite_option_arguments_are_usage_errors(self, command):
+        result = run_cli(*command.split())
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "finite" in result.stderr
 
     def test_zero_discount_warns_about_typo(self):
         result = run_cli(
@@ -150,8 +168,8 @@ class TestSmileCommands:
         assert methods == {"vv-exact", "sabr"}
         assert len(rows) == 5 * 61 + 61
 
-    def test_reference_without_pivot_vega_is_numerical_failure(self, tmp_path, scenario1):
-        scenario = json.loads(open(scenario1).read())
+    def test_reference_without_pivot_vega_is_numerical_failure(self, tmp_path, scenario_dir):
+        scenario = json.loads((scenario_dir / "scenario1_smile.json").read_text())
         scenario["reference_vols"] = [0.5]
         path = tmp_path / "novega.json"
         path.write_text(json.dumps(scenario))
@@ -229,8 +247,8 @@ class TestFitCommands:
         assert result.returncode == 2
         assert "fourth_quote" in result.stderr
 
-    def test_vv_fit_unreachable_quote(self, tmp_path, scenario1):
-        scenario = json.loads(open(scenario1).read())
+    def test_vv_fit_unreachable_quote(self, tmp_path, scenario_dir):
+        scenario = json.loads((scenario_dir / "scenario1_smile.json").read_text())
         scenario["fourth_quote"] = {"strike": 100.0, "vol": 250.0}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))
@@ -324,6 +342,31 @@ class TestScenarioValidation:
         assert result.returncode == 2
         assert "typo" in result.stderr or "zero out" in result.stderr
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("vv-smile", "forward", math.nan),
+            ("sabr-fit", "forward", math.nan),
+            ("vv-smile", "forward", 10**400),
+            ("vv-smile", "expiry", math.inf),
+            ("vv-smile", "grid", {"min": -100.0, "max": 100.0, "step": math.nan}),
+            ("density", "density_delta", math.inf),
+            ("vv-fit", "fourth_quote", {"strike": 100.0, "vol": math.nan}),
+            ("vv-smile", "reference_vols", [50.0, -math.inf]),
+        ],
+    )
+    def test_nonfinite_numbers_are_scenario_errors(
+        self, tmp_path, scenario_dir, command, key, value
+    ):
+        scenario = json.loads((scenario_dir / "scenario1_smile.json").read_text())
+        scenario[key] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(scenario))  # Python's json writes NaN and Infinity
+        result = run_cli(command, str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("scenario error:") and "must be finite" in result.stderr
+
     def test_unknown_method(self, tmp_path, scenario_dir):
         scenario = json.loads((scenario_dir / "scenario1_smile.json").read_text())
         scenario["methods"] = ["heston"]
@@ -377,8 +420,23 @@ OPTION_COMMANDS = (
     "invert --forward 0 --strike 10 --expiry 1 --price 15",
     "invert --forward 0 --strike 0 --expiry 1 --price 19.947",
 )
+# Scenario variants for the error exits: the shipped file they start from
+# and the keys they override. Written to a temporary directory per test.
+SCENARIO_VARIANTS = {
+    "no_root.json": ("scenario1_smile.json", {"fourth_quote": {"strike": 100.0, "vol": 250.0}}),
+    "no_vega.json": ("scenario1_smile.json", {"reference_vols": [0.5]}),
+}
+ERROR_COMMANDS = (
+    "vv-fit no_root.json",
+    "vv-smile no_vega.json",
+    "price --forward 0 --strike 0 --expiry 1 --df 0 --vol 50",
+    "invert --forward 0 --strike -50 --expiry 1 --price 49",
+    # The hash of this one also covers the sidecar's bytes.
+    "density scenario4_density_bimodal.json --diagnostics-out SIDECAR",
+)
 
-# First 16 hex digits of sha256(stdout NUL stderr NUL exit code) per command.
+# First 16 hex digits of sha256(stdout NUL stderr NUL exit code) per command,
+# followed by NUL and the sidecar's bytes when the command writes one.
 # A change that moves digits on purpose updates the affected entries and
 # says which and why in CHANGES.md.
 GOLDEN_HASHES = {
@@ -410,25 +468,45 @@ GOLDEN_HASHES = {
     "price --forward 1.5 --strike -20 --expiry 2 --df 0.9 --vol 33 --put": "f541f7beaec2546e",
     "invert --forward 0 --strike 10 --expiry 1 --price 15": "e3611cd373d958ea",
     "invert --forward 0 --strike 0 --expiry 1 --price 19.947": "8cbe89ddfdf2255f",
+    "vv-fit no_root.json": "f3a353943af1cf99",
+    "vv-smile no_vega.json": "7f08ce2ce290569a",
+    "price --forward 0 --strike 0 --expiry 1 --df 0 --vol 50": "5f31e2117b321bbe",
+    "invert --forward 0 --strike -50 --expiry 1 --price 49": "476d0f6c516d26f1",
+    "density scenario4_density_bimodal.json --diagnostics-out SIDECAR": "aa3f1aeb160eabd3",
 }
 
 
-def output_hash(result) -> str:
+def output_hash(result, sidecar: bytes | None = None) -> str:
     blob = result.stdout + b"\0" + result.stderr + b"\0" + str(result.returncode).encode()
+    if sidecar is not None:
+        blob += b"\0" + sidecar
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def golden_argv(command, scenario_dir):
+def golden_argv(command, scenario_dir, tmp_path):
     words = command.split()
     if words[0] in SCENARIO_COMMANDS:
-        words[1] = str(scenario_dir / words[1])
-    return words
+        if words[1] in SCENARIO_VARIANTS:
+            base, overrides = SCENARIO_VARIANTS[words[1]]
+            scenario = json.loads((scenario_dir / base).read_text())
+            scenario.update(overrides)
+            path = tmp_path / words[1]
+            path.write_text(json.dumps(scenario))
+            words[1] = str(path)
+        else:
+            words[1] = str(scenario_dir / words[1])
+    return [str(tmp_path / w) if w == "SIDECAR" else w for w in words]
 
 
 @pytest.mark.parametrize(
     "command",
-    [f"{c} {s}" for s in SCENARIO_NAMES for c in SCENARIO_COMMANDS] + list(OPTION_COMMANDS),
+    [f"{c} {s}" for s in SCENARIO_NAMES for c in SCENARIO_COMMANDS]
+    + list(OPTION_COMMANDS)
+    + list(ERROR_COMMANDS),
 )
-def test_golden_output(command, scenario_dir):
-    result = subprocess.run(CLI + golden_argv(command, scenario_dir), capture_output=True)
-    assert output_hash(result) == GOLDEN_HASHES[command]
+def test_golden_output(command, scenario_dir, tmp_path):
+    argv = golden_argv(command, scenario_dir, tmp_path)
+    result = subprocess.run(CLI + argv, capture_output=True)
+    sidecar = tmp_path / "SIDECAR"
+    sidecar_bytes = sidecar.read_bytes() if sidecar.exists() else None
+    assert output_hash(result, sidecar_bytes) == GOLDEN_HASHES[command]

@@ -416,3 +416,25 @@ class TestDefaults:
             PivotSet(0.0, 1.0, STRIKES, (51.0, 50.0, 52.0), 0.0)
         with pytest.raises(ValueError):
             PivotSet(0.0, 1.0, STRIKES, (51.0, 50.0, 52.0), 1.0, reference_vol=-5.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"F": math.nan},
+            {"F": math.inf},
+            {"T": math.inf},
+            {"ref": math.inf},
+            {"vols": (51.0, math.inf, 52.0)},
+            {"vols": (51.0, 50.0, math.nan)},
+        ],
+    )
+    def test_rejects_nonfinite_fields(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            pivots(**fields)
+
+    @pytest.mark.parametrize(
+        "strikes", [(-math.inf, 0.0, 50.0), (-50.0, 0.0, math.inf), (-50.0, math.nan, 50.0)]
+    )
+    def test_rejects_nonfinite_strikes(self, strikes):
+        with pytest.raises(ValueError, match="finite"):
+            PivotSet(0.0, 1.0, strikes, (51.0, 50.0, 52.0))
