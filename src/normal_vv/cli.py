@@ -280,6 +280,7 @@ def cmd_sabr_fit(args) -> int:
             **asdict(fit.params),
             "residuals": fit.residuals,
             "max_abs_residual": fit.max_abs_residual,
+            "rho_identified": fit.rho_identified,
         }
     )
     return 0

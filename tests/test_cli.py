@@ -288,6 +288,27 @@ class TestFitCommands:
         record = json.loads(run_cli("sabr-fit", scenario1).stdout)
         assert record["max_abs_residual"] < 1e-8
 
+    @pytest.mark.parametrize(
+        "name, identified",
+        [
+            ("scenario1_smile.json", True),
+            ("scenario2_frown.json", True),
+            ("scenario3_density.json", True),
+            ("scenario4_density_bimodal.json", False),
+        ],
+    )
+    def test_sabr_fit_rho_identified(self, scenario_dir, name, identified):
+        record = json.loads(run_cli("sabr-fit", scenario_dir / name).stdout)
+        assert record["rho_identified"] is identified
+
+    def test_sabr_fit_flat_pivots_leave_rho_unidentified(self, scenario_dir, tmp_path):
+        scenario = json.loads((scenario_dir / "scenario1_smile.json").read_text())
+        scenario["pivots"] = [{"strike": k, "vol": 50.0} for k in (-50.0, 0.0, 50.0)]
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(scenario))
+        record = json.loads(run_cli("sabr-fit", path).stdout)
+        assert record["rho_identified"] is False
+
 
 class TestDensityCommand:
     def test_scenario4_bimodal(self, scenario4):
@@ -444,26 +465,26 @@ GOLDEN_HASHES = {
     "sabr-smile scenario1_smile.json": "65bc81a8c2c81cfe",
     "compare scenario1_smile.json": "b5ec42591a3eed99",
     "vv-fit scenario1_smile.json": "c200636e092fef2a",
-    "sabr-fit scenario1_smile.json": "b040695b03a3f747",
-    "density scenario1_smile.json": "f99734aa1585cd09",
+    "sabr-fit scenario1_smile.json": "4d15e9b57ef372a6",
+    "density scenario1_smile.json": "3025ac92ba50bbdc",
     "vv-smile scenario2_frown.json": "ddf29ea46aedc376",
-    "sabr-smile scenario2_frown.json": "f5de47666a8bf170",
-    "compare scenario2_frown.json": "b0673f930f754a5e",
+    "sabr-smile scenario2_frown.json": "84fc5abd7e829666",
+    "compare scenario2_frown.json": "5f9dcbea0146b34e",
     "vv-fit scenario2_frown.json": "5f3a006d2e38643e",
-    "sabr-fit scenario2_frown.json": "74dc4909fa5e2c7d",
-    "density scenario2_frown.json": "251585beedff6c00",
+    "sabr-fit scenario2_frown.json": "38e62923e7d30303",
+    "density scenario2_frown.json": "81bf6f7c55f5238d",
     "vv-smile scenario3_density.json": "c5c8a707f91bc808",
-    "sabr-smile scenario3_density.json": "21d683ad47913025",
-    "compare scenario3_density.json": "2b669f225c8ae0b5",
+    "sabr-smile scenario3_density.json": "a364773e05dfd69e",
+    "compare scenario3_density.json": "fd327bdcc9244140",
     "vv-fit scenario3_density.json": "5f3a006d2e38643e",
-    "sabr-fit scenario3_density.json": "74dc4909fa5e2c7d",
-    "density scenario3_density.json": "894e34d1eee1abd3",
+    "sabr-fit scenario3_density.json": "38e62923e7d30303",
+    "density scenario3_density.json": "c5554a83227ac290",
     "vv-smile scenario4_density_bimodal.json": "cc4386b1eeef0686",
-    "sabr-smile scenario4_density_bimodal.json": "4b19eb2ca101b901",
-    "compare scenario4_density_bimodal.json": "3e72f4f8653479db",
+    "sabr-smile scenario4_density_bimodal.json": "f0d1208307282b27",
+    "compare scenario4_density_bimodal.json": "c19f8e3a757d320d",
     "vv-fit scenario4_density_bimodal.json": "5f3a006d2e38643e",
-    "sabr-fit scenario4_density_bimodal.json": "f0af38d5cf841a08",
-    "density scenario4_density_bimodal.json": "5da54e91d8c1916d",
+    "sabr-fit scenario4_density_bimodal.json": "f4a2e8d46912f6b2",
+    "density scenario4_density_bimodal.json": "c9c1ecdb2125e586",
     "price --forward 0 --strike 10 --expiry 1 --vol 50": "c8728357279a601c",
     "price --forward 1.5 --strike -20 --expiry 2 --df 0.9 --vol 33 --put": "f541f7beaec2546e",
     "invert --forward 0 --strike 10 --expiry 1 --price 15": "e3611cd373d958ea",
@@ -472,7 +493,7 @@ GOLDEN_HASHES = {
     "vv-smile no_vega.json": "7f08ce2ce290569a",
     "price --forward 0 --strike 0 --expiry 1 --df 0 --vol 50": "5f31e2117b321bbe",
     "invert --forward 0 --strike -50 --expiry 1 --price 49": "476d0f6c516d26f1",
-    "density scenario4_density_bimodal.json --diagnostics-out SIDECAR": "aa3f1aeb160eabd3",
+    "density scenario4_density_bimodal.json --diagnostics-out SIDECAR": "4a8a8e3170bb5f64",
 }
 
 

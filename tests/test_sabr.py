@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normal_vv import PivotSet, SABRParams, sabr_fit, sabr_normal_vol
-from normal_vv.sabr import _zeta_over_x
+from normal_vv.cli import load_scenario
+from normal_vv.sabr import _GRADIENT_SERIES_CUTOFF, _vol_and_gradient, _zeta_over_x
 
 STRIKES = (-50.0, 0.0, 50.0)
 
@@ -133,6 +136,8 @@ class TestFit:
         assert fit.params.alpha == pytest.approx(50.0, abs=1e-6)
         assert fit.params.nu == pytest.approx(0.0, abs=1e-3)
         assert fit.max_abs_residual < 1e-8
+        # a flat smile does not depend on rho
+        assert fit.rho_identified is False
 
     def test_fit_is_deterministic(self):
         first = sabr_fit(pivot_set((51.0, 50.0, 52.0)))
@@ -149,3 +154,98 @@ class TestFit:
                 [sabr_normal_vol(fit.params, 0.0, 1.0, k) for k in grid]
             )
             assert np.diff(curve, 2).min() >= -1e-9
+
+
+# Closed-form gradient against 5-point differences of sabr_normal_vol
+# (step 1e-4 * alpha in alpha; 1e-4 * min(1, alpha / |F - K|) in nu,
+# one-sided within two steps of nu = 0; 1e-4 * sqrt(1 - |rho|) in rho).
+# An entry may miss by GRADIENT_RTOL times the entry plus the vol's size,
+# per unit of nu or rho and per unit relative change of alpha.
+GRADIENT_RTOL = 1e-7
+GRADIENT_STEP = 1e-4
+
+
+def _difference(f, x, step, one_sided=False):
+    if one_sided:
+        values = [f(x + i * step) for i in range(5)]
+        weights = (-25.0, 48.0, -36.0, 16.0, -3.0)
+    else:
+        values = [f(x + i * step) for i in (-2, -1, 1, 2)]
+        weights = (1.0, -8.0, 8.0, -1.0)
+    return sum(w * v for w, v in zip(weights, values)) / (12.0 * step)
+
+
+def numeric_gradient(alpha, nu, rho, forward, expiry, strike):
+    def vol(a, n, r):
+        return sabr_normal_vol(SABRParams(a, n, r), forward, expiry, strike)
+
+    # zeta = nu (F - K) / alpha moves by at most the step per step in nu
+    nu_step = GRADIENT_STEP * alpha / max(alpha, abs(forward - strike))
+    return (
+        _difference(lambda a: vol(a, nu, rho), alpha, GRADIENT_STEP * alpha),
+        _difference(lambda n: vol(alpha, n, rho), nu, nu_step, one_sided=nu < 2.0 * nu_step),
+        # towards |rho| = 1 the smile's derivatives grow like 1 / (1 - |rho|)
+        # and its rounding like eps / (1 - |rho|): the step balances both
+        _difference(lambda r: vol(alpha, nu, r), rho, GRADIENT_STEP * math.sqrt(1.0 - abs(rho))),
+    )
+
+
+def assert_gradient_matches(alpha, nu, rho, forward, expiry, strike):
+    vol, gradient = _vol_and_gradient(alpha, nu, rho, forward, expiry, strike)
+    assert vol == sabr_normal_vol(SABRParams(alpha, nu, rho), forward, expiry, strike)
+    numeric = numeric_gradient(alpha, nu, rho, forward, expiry, strike)
+    for exact, approx, unit in zip(gradient, numeric, (alpha, 1.0, 1.0)):
+        assert abs(exact - approx) * unit <= GRADIENT_RTOL * (abs(approx) * unit + abs(vol))
+
+
+GRADIENT_ZETAS = [
+    # either side of the gradient's series cutoff and of the vol's seam
+    *(s * f * _GRADIENT_SERIES_CUTOFF for s in (1.0, -1.0) for f in (0.95, 1.05)),
+    *(s * f * 1e-6 for s in (1.0, -1.0) for f in (0.9, 1.1)),
+    0.0,
+    # the two log1p branches, and far wings with |zeta| >> 1
+    0.3, -0.3, 2.0, -2.0, 40.0, -40.0,
+]
+
+
+class TestGradient:
+    @pytest.mark.parametrize("rho", (-0.999, -0.5, 0.0, 0.3, 0.999))
+    @pytest.mark.parametrize("zeta", GRADIENT_ZETAS)
+    def test_matches_differences(self, zeta, rho):
+        # alpha 50, nu 0.5, F 0: zeta = -K / 100
+        assert_gradient_matches(50.0, 0.5, rho, 0.0, 1.5, -100.0 * zeta)
+
+    @pytest.mark.parametrize("rho", (-0.999, -0.4, 0.0, 0.7, 0.999))
+    @pytest.mark.parametrize("strike", (-400.0, -80.0, 0.0, 35.0, 600.0))
+    def test_zero_vol_of_vol(self, strike, rho):
+        # at nu = 0 the smile is flat, so the rho entry is exactly 0
+        assert_gradient_matches(50.0, 0.0, rho, 10.0, 2.0, strike)
+        assert _vol_and_gradient(50.0, 0.0, rho, 10.0, 2.0, strike)[1][2] == 0.0
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(1.0, 300.0),
+        nu=st.floats(0.0, 3.0),
+        rho=st.floats(-0.999, 0.999),
+        forward=st.floats(-300.0, 300.0),
+        expiry=st.floats(0.02, 30.0),
+        strike=st.floats(-1000.0, 1000.0),
+    )
+    def test_property(self, alpha, nu, rho, forward, expiry, strike):
+        assert_gradient_matches(alpha, nu, rho, forward, expiry, strike)
+
+
+class TestRhoIdentified:
+    @pytest.mark.parametrize(
+        "name, identified",
+        [
+            ("scenario1_smile.json", True),
+            ("scenario2_frown.json", True),
+            ("scenario3_density.json", True),
+            # 45/50/45: no convex smile beats the flat line, so nu -> 0
+            ("scenario4_density_bimodal.json", False),
+        ],
+    )
+    def test_scenarios(self, scenario_dir, name, identified):
+        fit = sabr_fit(load_scenario(str(scenario_dir / name)).pivots)
+        assert fit.rho_identified is identified
