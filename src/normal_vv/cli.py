@@ -44,6 +44,9 @@ SMILE_COMMANDS = {
 }
 
 SMILE_HEADER = "strike,vol,method,reference_vol,status"
+# Status of a SABR row whose vol is not positive: the level term
+# 1 + (2 - 3 rho^2) nu^2 T / 24 turned negative.
+FAILED_NEGATIVE_VOL = "failed_negative_vol"
 DENSITY_HEADER = "x,density,method"
 
 
@@ -237,9 +240,10 @@ def cmd_smile(args) -> int:
         # draws a curve per reference vol, SABR one curve without.
         if method == "sabr":
             params = sabr_fit(pivots).params
+            vols = [sabr_normal_vol(params, pivots.forward, pivots.expiry, k) for k in strikes]
             points = [
-                (k, sabr_normal_vol(params, pivots.forward, pivots.expiry, k), None, STATUS_OK)
-                for k in strikes
+                (k, vol, None, STATUS_OK) if vol > 0.0 else (k, None, None, FAILED_NEGATIVE_VOL)
+                for k, vol in zip(strikes, vols)
             ]
         else:
             points = [

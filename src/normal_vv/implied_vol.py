@@ -1,9 +1,12 @@
 """Implied normal volatility from option prices.
 
-The workhorse is a rational approximation on the straddle time value
-that is accurate to roughly ten significant digits on its own; a short
-Newton polish against the analytic pricer then pins the round trip down
-to the limits of double precision. No bisection, no damping loops.
+Each quote is reduced by put-call parity to its undiscounted
+out-of-the-money (OTM) time value and its distance |F - K| from the
+money. One kernel, written once for floats and arrays, inverts that
+pair: the Choi-Kim-Kwak (2009) rational seed in eta = theta / atanh(theta),
+with atanh taken through log1p so the time value is never rounded
+against |F - K| (after Jaeckel 2017), then two Newton steps on the log
+of the OTM price. No bisection, no loops that run to a tolerance.
 """
 
 from __future__ import annotations
@@ -67,12 +70,10 @@ COEFFICIENTS = InversionCoefficients(
 )
 
 # Relative half-width of the band around F = K in which the direct ATM
-# closed form is used; avoids atanh(theta)/theta cancellation at the seam.
+# closed form seeds the Newton steps; at F == K eta is 0 / 0.
 _ATM_BAND = 1e-14
 
-_MAX_NEWTON_STEPS = 4
-
-_ATANH = np.frompyfunc(math.atanh, 1, 1)  # np.arctanh rounds differently
+_LOG, _LOG1P = np.frompyfunc(math.log, 1, 1), np.frompyfunc(math.log1p, 1, 1)
 
 
 def _rational_kernel(eta: float) -> float:
@@ -87,111 +88,81 @@ def _rational_kernel(eta: float) -> float:
     return root * num / den
 
 
+def _log(x):
+    """math.log on a float or per element of an array; NaN where x <= 0."""
+    if isinstance(x, np.ndarray):
+        return _LOG(np.where(x > 0.0, x, math.nan)).astype(float)
+    return math.log(x) if x > 0.0 else math.nan
+
+
+def _implied_vol(value, distance, atm, expiry: float):
+    """Normal vol at which the OTM option `distance` = |F - K| from the
+    money is worth `value` (undiscounted), on floats or arrays.
+
+    Arrays call libm per element, as `_call_price_pdf` does, so an element
+    equals the float result bit for bit. Where no vol fits, the result is
+    NaN, infinite or not positive, or a float raises ZeroDivisionError.
+    """
+    straddle = 2.0 * value + distance
+    sigma = 0.5 * straddle * math.sqrt(2.0 * math.pi / expiry)
+    # eta = theta / atanh(theta) for theta = distance / straddle, where
+    # 2 atanh(theta) = log1p(distance / value): the time value is never
+    # rounded against |F - K| before the log.
+    if isinstance(value, np.ndarray):
+        eta = 2.0 * distance / (straddle * _LOG1P(distance / value).astype(float))
+        ckk = math.sqrt(math.pi / (2.0 * expiry)) * straddle * _rational_kernel(eta)
+        sigma = np.where(atm, sigma, ckk)
+    elif not atm:
+        eta = 2.0 * distance / (straddle * math.log1p(distance / value))
+        sigma = math.sqrt(math.pi / (2.0 * expiry)) * straddle * _rational_kernel(eta)
+    # Two Newton steps on log P(sigma) - log value, P the OTM price.
+    sqrt_t = math.sqrt(expiry)
+    for _ in range(2):
+        price, pdf = _call_price_pdf(-distance, sigma * sqrt_t, 1.0)
+        sigma -= _log(price / value) * price / (sqrt_t * pdf)
+    return sigma
+
+
 def implied_normal_vol(price: float, spec: OptionSpec) -> float:
     """Invert a Bachelier price of `spec.kind` back to its normal vol.
 
-    The price must lie strictly above discounted intrinsic value (and be
-    finite); anything else raises :class:`ArbitrageViolation`. The result
-    reprices the input to relative 1e-10 or better.
+    The price must be finite and leave a positive time value over
+    intrinsic value; a quote that fails that, or that no finite positive
+    vol reprices, raises :class:`ArbitrageViolation`.
     """
     if not math.isfinite(price):
         raise ArbitrageViolation(f"price must be finite, got {price}")
+    payoff = spec.forward - spec.strike if spec.is_call else spec.strike - spec.forward
     intrinsic = spec.intrinsic()
-    if price <= intrinsic:
+    value = price / spec.discount - max(payoff, 0.0)
+    if price <= intrinsic or not value > 0.0:
         raise ArbitrageViolation(
             f"price {price} does not exceed intrinsic value {intrinsic} "
             f"(F={spec.forward}, K={spec.strike}, {spec.kind})"
         )
-
-    fwd_minus_strike = spec.forward - spec.strike
-    # Work in forward (undiscounted) value space throughout.
-    if spec.is_call:
-        call_fwd = price / spec.discount
-        put_fwd = call_fwd - fwd_minus_strike
-    else:
-        put_fwd = price / spec.discount
-        call_fwd = put_fwd + fwd_minus_strike
-    straddle = call_fwd + put_fwd
-
-    scale = max(1.0, abs(spec.forward) + abs(spec.strike))
-    if abs(fwd_minus_strike) <= _ATM_BAND * scale:
-        sigma = 0.5 * straddle * math.sqrt(2.0 * math.pi / spec.expiry)
-    else:
-        theta = fwd_minus_strike / straddle
-        if not -1.0 < theta < 1.0:
-            raise ArbitrageViolation(
-                f"straddle value {straddle} does not dominate |F - K| = "
-                f"{abs(fwd_minus_strike)}; no finite vol reprices this quote"
-            )
-        eta = theta / math.atanh(theta)
-        sigma = math.sqrt(math.pi / (2.0 * spec.expiry)) * straddle * _rational_kernel(eta)
-
-    return _newton_polish(price, spec, sigma)
+    distance = abs(payoff)
+    atm = distance <= _ATM_BAND * max(1.0, abs(spec.forward) + abs(spec.strike))
+    try:
+        sigma = _implied_vol(value, distance, atm, spec.expiry)
+    except ZeroDivisionError:  # a vol or vega underflowed to 0
+        sigma = math.nan
+    if not 0.0 < sigma < math.inf:
+        raise ArbitrageViolation(
+            f"no finite vol reprices price {price} "
+            f"(F={spec.forward}, K={spec.strike}, {spec.kind})"
+        )
+    return sigma
 
 
 def _implied_call_vols(prices, forward: float, strikes, expiry: float, discount: float):
     """`implied_normal_vol` of call quotes over float arrays: bit for bit
     equal where it returns, NaN where it raises ArbitrageViolation."""
-    fwd_minus_strike = forward - strikes
-    call_fwd = prices / discount
-    straddle = call_fwd + (call_fwd - fwd_minus_strike)
-    valid = np.isfinite(prices) & ~(prices <= discount * np.maximum(fwd_minus_strike, 0.0))
-    scale = np.fmax(1.0, abs(forward) + np.abs(strikes))
-    atm = valid & (np.abs(fwd_minus_strike) <= _ATM_BAND * scale)
-    sigma = np.full(prices.shape, math.nan)
-    sigma[atm] = 0.5 * straddle[atm] * math.sqrt(2.0 * math.pi / expiry)
-    idx = np.flatnonzero(valid & ~atm)
-    theta = fwd_minus_strike[idx] / straddle[idx]
-    inside = (-1.0 < theta) & (theta < 1.0)
-    idx, theta = idx[inside], theta[inside]
-    eta = theta / _ATANH(theta).astype(float)
-    sigma[idx] = math.sqrt(math.pi / (2.0 * expiry)) * straddle[idx] * _rational_kernel(eta)
-    # `_newton_polish` per element, each stopping where the scalar loop breaks;
-    # a form of its own, as on one element it costs tens of scalar inversions.
-    sqrt_t = math.sqrt(expiry)
-    tol = 4.0 * np.spacing(np.abs(prices))
-    idx = np.arange(sigma.size)
-    for _ in range(_MAX_NEWTON_STEPS):
-        idx = idx[(sigma[idx] > 0.0) & np.isfinite(sigma[idx])]
-        s = sigma[idx]
-        price, pdf = _call_price_pdf(fwd_minus_strike[idx], s * sqrt_t, discount)
-        residual = price - prices[idx]
-        vega = discount * sqrt_t * pdf
-        live = ~(np.abs(residual) <= tol[idx]) & ~(vega <= 0.0)
-        idx, s, step = idx[live], s[live], residual[live] / vega[live]
-        halve = step >= s
-        sigma[idx] = s = np.where(halve, 0.5 * s, s - step)
-        idx = idx[halve | ~(np.abs(step) <= 2.0 * np.spacing(s))]
-    return sigma
-
-
-def _newton_polish(target: float, spec: OptionSpec, sigma: float) -> float:
-    """Drive the repricing residual to the floating-point floor.
-
-    The rational seed is good to ~1e-10 near the money but degrades in
-    the far wings; a couple of Newton steps with the analytic vega
-    restore full precision everywhere. Steps stop early once the
-    residual is at rounding level, so the common case does one pass.
-    """
-    payoff = spec.forward - spec.strike if spec.is_call else spec.strike - spec.forward
-    sqrt_t = math.sqrt(spec.expiry)
-    tol = 4.0 * math.ulp(abs(target))
-    for _ in range(_MAX_NEWTON_STEPS):
-        if not sigma > 0.0 or not math.isfinite(sigma):
-            break
-        price, pdf = _call_price_pdf(payoff, sigma * sqrt_t, spec.discount)
-        residual = price - target
-        if abs(residual) <= tol:
-            break
-        vega = spec.discount * sqrt_t * pdf
-        if vega <= 0.0:
-            break
-        step = residual / vega
-        if step >= sigma:
-            # Overshoot guard: halve toward zero instead of going negative.
-            sigma = 0.5 * sigma
-            continue
-        sigma -= step
-        if abs(step) <= 2.0 * math.ulp(sigma):
-            break
-    return sigma
+    payoff = forward - strikes
+    intrinsic = np.maximum(payoff, 0.0)
+    value = prices / discount - intrinsic
+    valid = np.isfinite(prices) & (prices > discount * intrinsic) & (value > 0.0)
+    distance = np.abs(payoff)
+    atm = distance <= _ATM_BAND * np.fmax(1.0, abs(forward) + np.abs(strikes))
+    with np.errstate(all="ignore"):
+        sigma = _implied_vol(np.where(valid, value, math.nan), distance, atm, expiry)
+    return np.where((0.0 < sigma) & (sigma < math.inf), sigma, math.nan)

@@ -15,7 +15,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 ACCEPTANCE_CRITERIA = {
     1: "analytic Greeks match central finite differences; put-call parity",
-    2: "implied-vol inversion round trip at 1e-10",
+    2: "implied-vol round trip at 1e-10: OTM quotes to |d| = 20, calls to |d| = 6",
     3: "hedge-weight residuals <= 1e-12 and closed form matches a linear solve",
     4: "every smile construction returns pivot vols at pivot strikes",
     5: "scenario 1: VV tracks SABR between the pivots; wings rise with reference vol",

@@ -106,21 +106,27 @@ def test_criterion_02_inversion_round_trip():
     # out-of-the-money option: at d = +6 a float64 *call* price moves by
     # one ulp only when the vol moves by ~2e-7 relative, so no inverter
     # can resolve 1e-10 through that channel. The sweep therefore
-    # round-trips OTM quotes over the full band, the call channel in
-    # vol space wherever its price still resolves the vol (|d| <= 4),
-    # and the call channel in price space everywhere.
+    # round-trips OTM quotes in vol and in price out to |d| = 20, the
+    # call channel in vol space wherever its price still resolves the
+    # vol (|d| <= 4), and the call channel in price space out to |d| = 6,
+    # beyond which an in-the-money call price rounds to intrinsic value.
     sigmas = (1.0, 5.0, 25.0, 50.0, 100.0, 500.0)
     expiries = (0.05, 0.25, 1.0, 5.0, 30.0)
-    moneyness = np.linspace(-6.0, 6.0, 121)
-    worst_otm = worst_call = worst_price = 0.0
+    moneyness = np.linspace(-20.0, 20.0, 401)
+    worst_otm = worst_otm_price = worst_call = worst_price = 0.0
     for sigma in sigmas:
         for expiry in expiries:
             for d in moneyness:
                 strike = -d * sigma * math.sqrt(expiry)
                 otm_kind = "put" if d > 0 else "call"
                 otm = OptionSpec(0.0, strike, expiry, 1.0, otm_kind)
-                vol = implied_normal_vol(bachelier_price(otm, sigma), otm)
+                otm_price = bachelier_price(otm, sigma)
+                vol = implied_normal_vol(otm_price, otm)
                 worst_otm = max(worst_otm, abs(vol - sigma) / sigma)
+                reprice = bachelier_price(otm, vol)
+                worst_otm_price = max(worst_otm_price, abs(reprice - otm_price) / otm_price)
+                if abs(d) > 6.0:
+                    continue
 
                 call = OptionSpec(0.0, strike, expiry, 1.0, "call")
                 price = bachelier_price(call, sigma)
@@ -130,6 +136,7 @@ def test_criterion_02_inversion_round_trip():
                 if abs(d) <= 4.0:
                     worst_call = max(worst_call, abs(vol_call - sigma) / sigma)
     assert worst_otm <= 1e-10
+    assert worst_otm_price <= 1e-10
     assert worst_call <= 1e-10
     assert worst_price <= 1e-10
 

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from normal_vv import cli
+from normal_vv.sabr import SABRFit, SABRParams, sabr_normal_vol
+
 CLI = [sys.executable, "-m", "normal_vv.cli"]
 
 
@@ -119,6 +122,14 @@ class TestInvertCommand:
         assert result.returncode == 3
         assert "ArbitrageViolation" in result.stderr
 
+    def test_underflowing_price_is_numerical_failure(self):
+        # No vol reprices it: the inverter's vega underflows to zero.
+        result = run_cli(
+            "invert", "--price", 5e-324, "--forward", 0, "--strike", 100, "--expiry", 1,
+        )
+        assert result.returncode == 3
+        assert json.loads(result.stderr)["error"] == "ArbitrageViolation"
+
 
 class TestSmileCommands:
     def test_scenario1_grid_shape(self, scenario1):
@@ -161,6 +172,26 @@ class TestSmileCommands:
         for row in rows:
             if row["strike"] in expected:
                 assert float(row["vol"]) == pytest.approx(expected[row["strike"]], abs=1e-6)
+
+    def test_sabr_vol_not_positive_is_failed_in_band(
+        self, tmp_path, scenario_dir, monkeypatch, capsys
+    ):
+        # At T = 10 these parameters make the level term
+        # 1 + (2 - 3 rho^2) nu^2 T / 24 negative: a SABR vol of -3.01 ATM.
+        params = SABRParams(50.0, 1.6, 0.999)
+        fit = SABRFit(params, (0.0, 0.0, 0.0), 0.0, True)
+        monkeypatch.setattr(cli, "sabr_fit", lambda pivots: fit)
+        scenario = json.loads((scenario_dir / "scenario1_smile.json").read_text())
+        scenario["expiry"] = 10.0
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(scenario))
+        assert sabr_normal_vol(params, 0.0, 10.0, 0.0) == pytest.approx(-3.01, abs=5e-3)
+        assert cli.main(["compare", str(path)]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        sabr = [row for row in rows if row["method"] == "sabr"]
+        assert len(sabr) == 61
+        assert all(row["vol"] == "" and row["status"] == "failed_negative_vol" for row in sabr)
+        assert all(row["status"] == "ok" for row in rows if row["method"] != "sabr")
 
     def test_compare_concatenates_methods(self, scenario1):
         rows = parse_csv(run_cli("compare", scenario1).stdout)
@@ -464,24 +495,24 @@ GOLDEN_HASHES = {
     "vv-smile scenario1_smile.json": "9ba2879b1a82cd59",
     "sabr-smile scenario1_smile.json": "65bc81a8c2c81cfe",
     "compare scenario1_smile.json": "b5ec42591a3eed99",
-    "vv-fit scenario1_smile.json": "c200636e092fef2a",
+    "vv-fit scenario1_smile.json": "d71858847a4f3db3",
     "sabr-fit scenario1_smile.json": "4d15e9b57ef372a6",
     "density scenario1_smile.json": "3025ac92ba50bbdc",
-    "vv-smile scenario2_frown.json": "ddf29ea46aedc376",
+    "vv-smile scenario2_frown.json": "25aa0a04df035e32",
     "sabr-smile scenario2_frown.json": "84fc5abd7e829666",
-    "compare scenario2_frown.json": "5f9dcbea0146b34e",
+    "compare scenario2_frown.json": "05d5ffbfeda078ef",
     "vv-fit scenario2_frown.json": "5f3a006d2e38643e",
     "sabr-fit scenario2_frown.json": "38e62923e7d30303",
     "density scenario2_frown.json": "81bf6f7c55f5238d",
-    "vv-smile scenario3_density.json": "c5c8a707f91bc808",
+    "vv-smile scenario3_density.json": "40f1ae2b5b30728e",
     "sabr-smile scenario3_density.json": "a364773e05dfd69e",
-    "compare scenario3_density.json": "fd327bdcc9244140",
+    "compare scenario3_density.json": "6a38452e3ad84286",
     "vv-fit scenario3_density.json": "5f3a006d2e38643e",
     "sabr-fit scenario3_density.json": "38e62923e7d30303",
     "density scenario3_density.json": "c5554a83227ac290",
-    "vv-smile scenario4_density_bimodal.json": "cc4386b1eeef0686",
+    "vv-smile scenario4_density_bimodal.json": "4d46b37de1593161",
     "sabr-smile scenario4_density_bimodal.json": "f0d1208307282b27",
-    "compare scenario4_density_bimodal.json": "c19f8e3a757d320d",
+    "compare scenario4_density_bimodal.json": "70398d97078b0822",
     "vv-fit scenario4_density_bimodal.json": "5f3a006d2e38643e",
     "sabr-fit scenario4_density_bimodal.json": "f4a2e8d46912f6b2",
     "density scenario4_density_bimodal.json": "c9c1ecdb2125e586",

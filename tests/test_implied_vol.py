@@ -134,14 +134,17 @@ class TestInversion:
     [(0.0, 1.0, 1.0, 50.0), (-35.0, 10.0, 0.8, 120.0), (250.0, 0.05, 0.95, 3.0)],
 )
 def test_array_inverter_matches_scalar(F, T, df, sigma):
-    # Call quotes on both sides of the forward out to |d| = 9, the ATM
-    # seam, and quotes the scalar inverter rejects.
+    # Call quotes on both sides of the forward out to |d| = 37, the ATM
+    # seam, and quotes the scalar inverter rejects. Beyond d ~ 7.6 an
+    # in-the-money call price rounds to intrinsic value; those quotes and
+    # the 18 planted ones are the only rejections.
     stddev = sigma * math.sqrt(T)
-    strikes = [F - d * stddev for d in np.linspace(-9.0, 9.0, 241)]
+    strikes = [F - d * stddev for d in np.linspace(-37.0, 37.0, 741)]
     scale = max(1.0, 2.0 * abs(F))
     for factor in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 10.0, 1e3):
         strikes += [F - factor * 1e-14 * scale, F + factor * 1e-14 * scale]
     prices = [bachelier_price(spec(F, k, T, df), sigma) for k in strikes]
+    at_intrinsic = sum(p <= spec(F, k, T, df).intrinsic() for k, p in zip(strikes, prices))
     for k in (F - stddev, F, F + stddev):
         intrinsic = spec(F, k, T, df).intrinsic()
         for price in (intrinsic, intrinsic - 1.0, 0.0, math.inf, -math.inf, math.nan):
@@ -157,7 +160,55 @@ def test_array_inverter_matches_scalar(F, T, df, sigma):
             assert math.isnan(vol), (k, price)
         else:
             assert vol == expected, (k, price)
-    assert 18 <= rejected < len(strikes) // 2
+    assert rejected - at_intrinsic == 18
+
+
+def test_otm_round_trip_with_discounting_to_the_underflow_edge():
+    # Out-of-the-money calls and puts with df < 1, from the money out to
+    # where the price underflows (|d| ~ 37-38): every price >= 1e-300
+    # inverts to 1e-12 in vol.
+    rng = np.random.default_rng(37)
+    reach = 0.0
+    for _ in range(3000):
+        sigma = 10 ** rng.uniform(-1.0, 3.0)
+        T = 10 ** rng.uniform(-2.0, 1.5)
+        F = rng.uniform(-100.0, 100.0)
+        df = rng.uniform(0.2, 1.0)
+        d = rng.uniform(0.0, 40.0)
+        kind = "call" if rng.uniform() < 0.5 else "put"
+        sign = 1.0 if kind == "call" else -1.0
+        s = spec(F, F + sign * d * sigma * math.sqrt(T), T, df, kind)
+        price = bachelier_price(s, sigma)
+        if price < 1e-300:
+            continue
+        vol = implied_normal_vol(price, s)
+        assert abs(vol - sigma) <= 1e-12 * sigma, (s, sigma, price)
+        reach = max(reach, d)
+    assert reach > 36.0
+
+
+class TestFailuresInBand:
+    # A quote no vol fits raises ArbitrageViolation (a NaN in arrays),
+    # never ZeroDivisionError or a math domain error.
+    def test_itm_time_value_rounds_to_zero(self):
+        # Above discounted intrinsic value, but price / df - payoff == 0.
+        s = spec(F=3.0, K=0.0, df=0.503)
+        price = math.nextafter(s.intrinsic(), math.inf)
+        assert price > s.intrinsic() and price / s.discount - 3.0 <= 0.0
+        with pytest.raises(ArbitrageViolation):
+            implied_normal_vol(price, s)
+        vols = _implied_call_vols(np.array([price]), 3.0, np.array([0.0]), 1.0, 0.503)
+        assert math.isnan(vols[0])
+
+    def test_prices_at_the_underflow_edge(self):
+        # Below about 2e-304 the Newton steps' vega underflows to zero.
+        strikes = [1.0, 100.0, 1e5, 1e300]
+        prices = [1e-310, 1e-320, 5e-324, 2e-304]
+        for k, price in zip(strikes, prices):
+            with pytest.raises(ArbitrageViolation):
+                implied_normal_vol(price, spec(K=k))
+        vols = _implied_call_vols(np.array(prices), 0.0, np.array(strikes), 1.0, 1.0)
+        assert np.isnan(vols).all()
 
 
 class TestAtmClosedForm:
