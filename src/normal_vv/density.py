@@ -136,36 +136,21 @@ def _diagnose(x: np.ndarray, values: np.ndarray) -> DensityDiagnostics:
 def _count_modes(values: np.ndarray) -> int:
     """Local maxima, counting a flat top once and boundary maxima as modes.
 
-    Gaps split the grid into independent segments. Within a segment the
-    values are collapsed into plateau runs (neighbours within the plateau
-    tolerance); a run is a mode when every existing neighbour run is
-    strictly lower.
+    Gaps (non-finite values) split the grid into independent segments.
+    Within a segment the values are collapsed into plateau runs: a value
+    within the plateau tolerance of the current run's first value joins
+    it. A run is a mode when every existing neighbour run is strictly
+    lower.
     """
     count = 0
-    segment: list[float] = []
-    for v in values:
+    # the current run's value, and whether the run before it (if any) is lower
+    level, rising = -math.inf, False
+    for v in values.tolist():
         if math.isfinite(v):
-            segment.append(v)
+            if abs(v - level) > _PLATEAU_TOL:
+                count += rising and v < level
+                level, rising = v, v > level
         else:
-            count += _segment_modes(segment)
-            segment = []
-    count += _segment_modes(segment)
-    return count
-
-
-def _segment_modes(segment: list[float]) -> int:
-    if not segment:
-        return 0
-    runs: list[float] = [segment[0]]
-    for v in segment[1:]:
-        if abs(v - runs[-1]) > _PLATEAU_TOL:
-            runs.append(v)
-    if len(runs) == 1:
-        return 1
-    count = 0
-    for i, level in enumerate(runs):
-        left_lower = i == 0 or runs[i - 1] < level
-        right_lower = i == len(runs) - 1 or runs[i + 1] < level
-        if left_lower and right_lower:
-            count += 1
-    return count
+            count += rising
+            level, rising = -math.inf, False
+    return count + rising

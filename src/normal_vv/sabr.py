@@ -31,6 +31,7 @@ NU_BOUNDS = (0.0, 10.0)
 # Open-interval correlation constraint, held by the optimizer's bounds.
 RHO_BOUNDS = (-0.999, 0.999)
 
+# Below this |zeta| the vol's zeta/x(zeta) comes from its Taylor series.
 _ZETA_SERIES_CUTOFF = 1e-6
 # Below this |zeta| the fit's gradient of zeta/x(zeta) comes from its
 # Taylor series. Above it the log form's x - zeta/R cancels to about
@@ -53,10 +54,10 @@ class SABRParams:
     rho: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be nonnegative and finite, got {self.nu}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
 
@@ -82,51 +83,51 @@ class SABRFit:
 
 
 def sabr_normal_vol(params: SABRParams, forward: float, expiry: float, strike: float) -> float:
-    """Implied normal vol of the Normal SABR smile at one strike."""
-    if not expiry > 0.0:
-        raise ValueError(f"expiry must be positive, got {expiry}")
-    zeta = params.nu / params.alpha * (forward - strike)
-    level = 1.0 + (2.0 - 3.0 * params.rho**2) / 24.0 * params.nu**2 * expiry
-    return params.alpha * _zeta_over_x(zeta, params.rho) * level
+    """Implied normal vol of the Normal SABR smile at one strike.
 
-
-def _zeta_over_x(zeta: float, rho: float) -> float:
-    """The backbone ratio zeta / x(zeta), stable across the whole axis.
-
-    x(zeta) = log((sqrt(1 - 2*rho*zeta + zeta^2) - rho + zeta) / (1 - rho)).
-    Written as log1p of an increment built from the conjugate form of
-    sqrt(...) - 1, which survives both the near-zero region (where the
-    raw log argument collapses to 1) and the far left wing (where the
-    numerator cancels); a short series covers the last stretch around
-    zero where even the quotient zeta/x turns indeterminate.
+    The expiry must be positive and finite. A NaN forward or strike is
+    not checked, because the density calls this three times per grid
+    point; it gives a NaN vol.
     """
-    if abs(zeta) < _ZETA_SERIES_CUTOFF:
-        return 1.0 - 0.5 * rho * zeta + (2.0 - 3.0 * rho * rho) / 12.0 * zeta * zeta
-    root = math.sqrt(1.0 - 2.0 * rho * zeta + zeta * zeta)
-    root_m1 = zeta * (zeta - 2.0 * rho) / (1.0 + root)
-    if zeta > 0.0:
-        x = math.log1p((root_m1 + zeta) / (1.0 - rho))
-    else:
-        x = -math.log1p((root_m1 - zeta) / (1.0 + rho))
-    return zeta / x
+    if not 0.0 < expiry < math.inf:
+        raise ValueError(f"expiry must be positive and finite, got {expiry}")
+    return _sabr_vol(params.alpha, params.nu, params.rho, forward, expiry, strike)
 
 
-def _vol_and_gradient(alpha, nu, rho, forward, expiry, strike):
-    """Normal SABR vol at one strike and its gradient in (alpha, nu, rho).
+def _sabr_vol(alpha, nu, rho, forward, expiry, strike, gradient=False):
+    """Normal SABR vol at one strike; with `gradient`, also its gradient
+    in (alpha, nu, rho) as `(vol, (d_alpha, d_nu, d_rho))`.
 
-    The vol is alpha * g * level with g = zeta / x(zeta, rho),
-    zeta = nu (F - K) / alpha and level = 1 + (2 - 3 rho^2) nu^2 T / 24,
-    and carries the bits of `sabr_normal_vol`. The gradient follows by
-    the chain rule from g_zeta = (x - zeta/R) / x^2 and
-    g_rho = -zeta x_rho / x^2, where R = sqrt(1 - 2 rho zeta + zeta^2)
-    and x_rho is written with its zeta^2 factor pulled out, so it does
-    not cancel near zeta = 0. Inside `_GRADIENT_SERIES_CUTOFF` both
-    come from the series of g.
+    vol = alpha * g * level (Hagan et al. 2002), with
+    zeta = nu (F - K) / alpha, level = 1 + (2 - 3 rho^2) nu^2 T / 24 and
+    g = zeta / x, where x(zeta, rho) = log((R - rho + zeta) / (1 - rho)),
+    R = sqrt(1 - 2 rho zeta + zeta^2). x is the log1p of an increment
+    built from R - 1 = zeta (zeta - 2 rho) / (1 + R), taken for zeta < 0
+    through x(zeta, rho) = -x(-zeta, -rho), so nothing cancels near
+    zeta = 0 or in either wing. Inside `_ZETA_SERIES_CUTOFF`, where
+    zeta / x turns 0 / 0, g comes from its series.
+
+    The gradient follows by the chain rule from g_zeta = (x - zeta/R) / x^2
+    and g_rho = -zeta x_rho / x^2, with x_rho written with its zeta^2
+    factor pulled out, so it does not cancel near zeta = 0. Inside
+    `_GRADIENT_SERIES_CUTOFF` both come from the series of g.
     """
     zeta = nu / alpha * (forward - strike)
     level = 1.0 + (2.0 - 3.0 * rho**2) / 24.0 * nu**2 * expiry
+    if abs(zeta) < _ZETA_SERIES_CUTOFF:
+        g = 1.0 - 0.5 * rho * zeta + (2.0 - 3.0 * rho * rho) / 12.0 * zeta * zeta
+    else:
+        root = math.sqrt(1.0 - 2.0 * rho * zeta + zeta * zeta)
+        root_m1 = zeta * (zeta - 2.0 * rho) / (1.0 + root)
+        if zeta > 0.0:
+            x = math.log1p((root_m1 + zeta) / (1.0 - rho))
+        else:
+            x = -math.log1p((root_m1 - zeta) / (1.0 + rho))
+        g = zeta / x
+    vol = alpha * g * level
+    if not gradient:
+        return vol
     if abs(zeta) < _GRADIENT_SERIES_CUTOFF:
-        g = _zeta_over_x(zeta, rho)
         g_zeta = (
             -0.5 * rho
             + (2.0 - 3.0 * rho * rho) / 6.0 * zeta
@@ -134,21 +135,15 @@ def _vol_and_gradient(alpha, nu, rho, forward, expiry, strike):
         )
         g_rho = zeta * (-0.5 - 0.5 * rho * zeta + (5.0 - 18.0 * rho * rho) / 24.0 * zeta * zeta)
     else:
-        # x(zeta, rho) = -x(-zeta, -rho): work at z = |zeta| with the
-        # same operations as the two log1p branches of _zeta_over_x.
-        sign = 1.0 if zeta > 0.0 else -1.0
-        z, p = sign * zeta, sign * rho
-        root = math.sqrt(1.0 - 2.0 * p * z + z * z)
-        shift = z * (z - 2.0 * p) / (1.0 + root) + z
-        x = math.log1p(shift / (1.0 - p))
-        g = z / x
-        g_zeta = sign * (x - z / root) / (x * x)
-        # x_rho = 1/(1 - p) - (1 + z/R) / (R - p + z) with the difference
-        # taken by hand; R - p + z = 1 - p + shift.
+        g_zeta = (x - zeta / root) / (x * x)
+        # x_rho = 1/(1 - rho) - (1 + zeta/R) / (R - rho + zeta) is the same
+        # at (-zeta, -rho): take it at z = |zeta|, p = sign(zeta) rho, with
+        # the difference done by hand and R - p + z = 1 - p + (R - 1 + z).
+        z, p = (zeta, rho) if zeta > 0.0 else (-zeta, -rho)
+        shift = root_m1 + z
         b = root + z - 2.0 * p - p * (z - 2.0 * p) / (1.0 + root)
         x_rho = z * z * b / ((1.0 + root) * root * (1.0 - p) * (1.0 - p + shift))
         g_rho = -zeta * x_rho / (x * x)
-    vol = alpha * g * level
     d_alpha = level * (g - zeta * g_zeta)
     d_nu = (
         level * g_zeta * (forward - strike)
@@ -164,7 +159,7 @@ def sabr_fit(pivots) -> SABRFit:
     Deterministic multi-start bounded least squares: four starts at
     nu in {0.3, 1.0} x rho in {-0.4, 0.4}, alpha seeded from the
     near-ATM pivot, each run inside the parameter box with the
-    closed-form Jacobian of `_vol_and_gradient`; the lowest finite cost
+    closed-form Jacobian of `_sabr_vol`; the lowest finite cost
     wins. Convex pivot triples are fitted essentially exactly; concave
     ones end at the best convex compromise with visible residuals.
     """
@@ -182,17 +177,15 @@ def sabr_fit(pivots) -> SABRFit:
 
     def residual_vec(x):
         alpha, nu, rho = x.tolist()
-        return [
-            _vol_and_gradient(alpha, nu, rho, forward, expiry, k)[0] - v
-            for k, v in zip(strikes, vols)
-        ]
+        return [_sabr_vol(alpha, nu, rho, forward, expiry, k) - v for k, v in zip(strikes, vols)]
 
     def jacobian(x):
         alpha, nu, rho = x.tolist()
-        return [_vol_and_gradient(alpha, nu, rho, forward, expiry, k)[1] for k in strikes]
+        return [_sabr_vol(alpha, nu, rho, forward, expiry, k, gradient=True)[1] for k in strikes]
 
     def run(nu0: float, rho0: float):
-        level = 1.0 + (2.0 - 3.0 * rho0**2) / 24.0 * nu0**2 * expiry
+        # at K = F and alpha = 1 the kernel returns the level term itself
+        level = _sabr_vol(1.0, nu0, rho0, forward, expiry, forward)
         x0 = np.clip([vol_scale / level, nu0, rho0], lower, upper)
         return least_squares(
             residual_vec,

@@ -11,7 +11,7 @@ from normal_vv import (
     density_from_prices,
     vv_price,
 )
-from normal_vv.density import _segment_modes
+from normal_vv.density import _count_modes
 
 STRIKES = (-50.0, 0.0, 50.0)
 
@@ -141,17 +141,17 @@ class TestValidation:
 
 class TestModeCounting:
     def test_single_peak(self):
-        assert _segment_modes([0.0, 1.0, 2.0, 1.0, 0.0]) == 1
+        assert _count_modes(np.array([0.0, 1.0, 2.0, 1.0, 0.0])) == 1
 
     def test_plateau_counted_once(self):
-        assert _segment_modes([0.0, 1.0, 1.0 + 1e-13, 1.0, 0.0]) == 1
+        assert _count_modes(np.array([0.0, 1.0, 1.0 + 1e-13, 1.0, 0.0])) == 1
 
     def test_two_peaks(self):
-        assert _segment_modes([0.0, 2.0, 1.0, 2.0, 0.0]) == 2
+        assert _count_modes(np.array([0.0, 2.0, 1.0, 2.0, 0.0])) == 2
 
     def test_monotone_runs_have_boundary_mode(self):
-        assert _segment_modes([0.0, 1.0, 2.0, 3.0]) == 1
-        assert _segment_modes([3.0, 2.0, 1.0, 0.0]) == 1
+        assert _count_modes(np.array([0.0, 1.0, 2.0, 3.0])) == 1
+        assert _count_modes(np.array([3.0, 2.0, 1.0, 0.0])) == 1
 
     def test_flat_segment_is_one_mode(self):
-        assert _segment_modes([1.0, 1.0, 1.0]) == 1
+        assert _count_modes(np.array([1.0, 1.0, 1.0])) == 1

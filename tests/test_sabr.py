@@ -7,13 +7,62 @@ from hypothesis import strategies as st
 
 from normal_vv import PivotSet, SABRParams, sabr_fit, sabr_normal_vol
 from normal_vv.cli import load_scenario
-from normal_vv.sabr import _GRADIENT_SERIES_CUTOFF, _vol_and_gradient, _zeta_over_x
+from normal_vv.sabr import _GRADIENT_SERIES_CUTOFF, _sabr_vol
 
 STRIKES = (-50.0, 0.0, 50.0)
 
 # Frozen oracle: 40-digit evaluation of the closed form at
 # alpha=50, nu=0.5, rho=0, T=1, F=0, K=-50.
 WING_ORACLE = 53.034509969018932
+
+
+# (alpha, nu, rho, F, T, K, vol, gradient); with alpha 50, nu 0.5 and
+# F 0, zeta = -K / 100: 0.3 and -0.3, +-0.99e-6 and +-1.01e-6,
+# +-0.99e-4 and +-1.01e-4, 0; then nu = 0, rho = +-0.999 at zeta = +-2,
+# zeta = +-40, a negative forward at T = 10, and three mid-smile points
+# whose gradient bits move when x_rho's denominator is re-associated.
+PINNED_BITS = [
+    (50.0, 0.5, 0.3, 0.0, 1.5, -30.0, "0x1.8e2d724a7dd2bp+5",
+     ("0x1.02ec0e7d3d951p+0", "0x1.d24af56126244p+1", "-0x1.301315373f56bp+3")),
+    (50.0, 0.5, -0.5, 0.0, 1.5, 30.0, "0x1.7de1a21b1ba69p+5",
+     ("0x1.017dd18a927a9p+0", "-0x1.745350268bec0p+0", "0x1.5be3827b2b2e8p+3")),
+    (50.0, 0.5, 0.4, 0.0, 1.5, -9.9e-05, "0x1.997ffaafaff99p+5",
+     ("0x1.06147ae1478a5p+0", "0x1.2fffa7092895ap+2", "-0x1.e001a2de9d101p+0")),
+    (50.0, 0.5, 0.4, 0.0, 1.5, -0.000101, "0x1.997ffa9434d3dp+5",
+     ("0x1.06147ae14788ep+0", "0x1.2fffa53d0fb18p+2", "-0x1.e001ab54e3b36p+0")),
+    (50.0, 0.5, -0.2, 0.0, 1.5, 9.9e-05, "0x1.9bbffd541b722p+5",
+     ("0x1.07851eb851bf0p+0", "0x1.77ffd2d137dd5p+2", "0x1.e00353c0d2c3ep-1")),
+    (50.0, 0.5, -0.2, 0.0, 1.5, 0.000101, "0x1.9bbffd464a8d3p+5",
+     ("0x1.07851eb851bd3p+0", "0x1.77ffd1e78becdp+2", "0x1.e00364f5d9d7fp-1")),
+    (50.0, 0.5, 0.7, 0.0, 1.5, -0.0099, "0x1.934c6c290eec1p+5",
+     ("0x1.021eb8500b7eep+0", "0x1.a717482e2c547p+0", "-0x1.a44e0d74adde1p+1")),
+    (50.0, 0.5, 0.7, 0.0, 1.5, -0.0101, "0x1.934c59a8a7bb6p+5",
+     ("0x1.021eb84ff7e6cp+0", "0x1.a71294a8ad758p+0", "-0x1.a44fa126d5bddp+1")),
+    (50.0, 0.5, -0.6, 0.0, 1.5, 0.0099, "0x1.95bcea42a9129p+5",
+     ("0x1.03ae14779b10dp+0", "0x1.6f9a7cb53a3b4p+1", "0x1.684f88d045e0cp+1")),
+    (50.0, 0.5, -0.6, 0.0, 1.5, 0.0101, "0x1.95bcda4e74bc2p+5",
+     ("0x1.03ae147778da9p+0", "0x1.6f986fbd25b6ap+1", "0x1.6851242b561b0p+1")),
+    (50.0, 0.5, 0.3, 0.0, 1.5, 0.0, "0x1.9ad0000000000p+5",
+     ("0x1.06eb851eb851fp+0", "0x1.5a00000000000p+2", "-0x1.67fffffffffffp+0")),
+    (50.0, 0.0, 0.5, 10.0, 2.0, -80.0, "0x1.9000000000000p+5",
+     ("0x1.0000000000000p+0", "-0x1.6800000000000p+4", "-0x0.0p+0")),
+    (50.0, 0.5, 0.999, 0.0, 1.5, -200.0, "0x1.9e61dbedfa2b7p+3",
+     ("0x1.1684a67d0214bp-4", "0x1.2482e10b1c264p+4", "-0x1.a981518bebeaep+10")),
+    (50.0, 0.5, -0.999, 0.0, 1.5, 200.0, "0x1.9e61dbedfa2b7p+3",
+     ("0x1.1684a67d0214bp-4", "0x1.2482e10b1c264p+4", "0x1.a981518bebeaep+10")),
+    (50.0, 0.5, -0.7, 0.0, 1.5, -4000.0, "0x1.049df2dd7fa23p+9",
+     ("0x1.52ea921ee5ad5p+1", "0x1.8d682611fa828p+9", "-0x1.505b8ea7f6ae1p+5")),
+    (50.0, 0.5, 0.7, 0.0, 1.5, 4000.0, "0x1.049df2dd7fa23p+9",
+     ("0x1.52ea921ee5ad5p+1", "0x1.8d682611fa828p+9", "0x1.505b8ea7f6ae1p+5")),
+    (80.0, 0.3, 0.3, -150.0, 10.0, 100.0, "0x1.a05ee0a4570a6p+6",
+     ("0x1.047bf8dc1a4d7p+0", "0x1.d7a90732747c4p+6", "0x1.43cc6c83ba4b3p+4")),
+    (40.0, 0.4, -0.6, -100.0, 0.5, -250.0, "0x1.e1b269fb534a4p+5",
+     ("0x1.0157cba95a30bp+0", "0x1.9768b6cf3daa3p+5", "-0x1.ba56abb383b3cp+3")),
+    (40.0, 0.4, -0.3, 25.0, 0.5, 60.0, "0x1.374100b517ad5p+5",
+     ("0x1.f82e30677c3f4p-1", "-0x1.72bc1a731c390p-4", "0x1.ebb7c5c972f2cp+2")),
+    (40.0, 0.4, 0.2, -100.0, 3.0, 60.0, "0x1.c7c70d5eed08ep+5",
+     ("0x1.e87387013bb15p-1", "0x1.cad1e3528edb4p+5", "0x1.0cd998dafcd49p+4")),
+]
 
 
 def pivot_set(vols, F=0.0, T=1.0):
@@ -38,11 +87,14 @@ class TestVol:
         )
 
     def test_series_seam_agreement(self):
-        # the series branch hands over to the log form at |zeta| = 1e-6
+        # the series branch hands over to the log form at |zeta| = 1e-6;
+        # with alpha = nu = 1, F = 0 and T = 1e-300 the level term is
+        # exactly 1 and zeta = -K, so the vol is zeta / x(zeta) itself
         for rho in (-0.9, -0.5, 0.0, 0.5, 0.9):
+            params = SABRParams(1.0, 1.0, rho)
             for sign in (1.0, -1.0):
-                inside = _zeta_over_x(sign * 0.999999e-6, rho)
-                outside = _zeta_over_x(sign * 1.000001e-6, rho)
+                inside = sabr_normal_vol(params, 0.0, 1e-300, -sign * 0.999999e-6)
+                outside = sabr_normal_vol(params, 0.0, 1e-300, -sign * 1.000001e-6)
                 assert abs(inside - outside) <= 1e-12
 
     def test_zero_correlation_symmetry(self):
@@ -67,6 +119,21 @@ class TestVol:
             SABRParams(alpha=50.0, nu=0.5, rho=1.0)
         with pytest.raises(ValueError):
             sabr_normal_vol(SABRParams(50.0, 0.5, 0.0), 0.0, 0.0, 10.0)
+        # nonfinite parameters or expiries would give NaN or inf vols
+        for alpha, nu in ((50.0, math.nan), (50.0, math.inf), (math.inf, 0.5), (math.nan, 0.5)):
+            with pytest.raises(ValueError):
+                SABRParams(alpha=alpha, nu=nu, rho=0.0)
+        with pytest.raises(ValueError):
+            sabr_normal_vol(SABRParams(50.0, 0.5, 0.0), 0.0, math.inf, 10.0)
+
+    def test_pinned_bits(self):
+        # exact vol and gradient bits, so a reordered operation anywhere in
+        # the kernel shows even where every tolerance test still passes
+        for alpha, nu, rho, forward, expiry, strike, vol, gradient in PINNED_BITS:
+            expected = float.fromhex(vol), tuple(float.fromhex(g) for g in gradient)
+            params = SABRParams(alpha, nu, rho)
+            assert sabr_normal_vol(params, forward, expiry, strike) == expected[0]
+            assert _sabr_vol(alpha, nu, rho, forward, expiry, strike, gradient=True) == expected
 
 
 def sabr_pivots(params, F, T, strikes):
@@ -191,7 +258,7 @@ def numeric_gradient(alpha, nu, rho, forward, expiry, strike):
 
 
 def assert_gradient_matches(alpha, nu, rho, forward, expiry, strike):
-    vol, gradient = _vol_and_gradient(alpha, nu, rho, forward, expiry, strike)
+    vol, gradient = _sabr_vol(alpha, nu, rho, forward, expiry, strike, gradient=True)
     assert vol == sabr_normal_vol(SABRParams(alpha, nu, rho), forward, expiry, strike)
     numeric = numeric_gradient(alpha, nu, rho, forward, expiry, strike)
     for exact, approx, unit in zip(gradient, numeric, (alpha, 1.0, 1.0)):
@@ -220,7 +287,7 @@ class TestGradient:
     def test_zero_vol_of_vol(self, strike, rho):
         # at nu = 0 the smile is flat, so the rho entry is exactly 0
         assert_gradient_matches(50.0, 0.0, rho, 10.0, 2.0, strike)
-        assert _vol_and_gradient(50.0, 0.0, rho, 10.0, 2.0, strike)[1][2] == 0.0
+        assert _sabr_vol(50.0, 0.0, rho, 10.0, 2.0, strike, gradient=True)[1][2] == 0.0
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
