@@ -83,15 +83,17 @@ def density_from_prices(
     if np.any(spacing <= 0) or not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be strictly increasing with uniform spacing")
 
-    values = np.empty_like(x)
-    for i, xi in enumerate(x):
-        center = price_fn(float(xi))
-        up = price_fn(float(xi + delta))
-        down = price_fn(float(xi - delta))
+    # over Python floats: numpy-scalar arithmetic would cost twice the loop
+    values = []
+    for xi in x.tolist():
+        center = price_fn(xi)
+        up = price_fn(xi + delta)
+        down = price_fn(xi - delta)
         if center is None or up is None or down is None:
-            values[i] = math.nan
+            values.append(math.nan)
         else:
-            values[i] = (up + down - 2.0 * center) / (discount * delta * delta)
+            values.append((up + down - 2.0 * center) / (discount * delta * delta))
+    values = np.array(values)
 
     grid_obj = DensityGrid(
         x=x,

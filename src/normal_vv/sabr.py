@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "SABRParams",
     "SABRFit",
@@ -158,13 +156,14 @@ def sabr_fit(pivots) -> SABRFit:
 
     Deterministic multi-start bounded least squares: four starts at
     nu in {0.3, 1.0} x rho in {-0.4, 0.4}, alpha seeded from the
-    near-ATM pivot, each run inside the parameter box with the
-    closed-form Jacobian of `_sabr_vol`; the lowest finite cost
-    wins. Convex pivot triples are fitted essentially exactly; concave
-    ones end at the best convex compromise with visible residuals.
+    near-ATM pivot, each run by `_levenberg_marquardt` inside the
+    parameter box with the closed-form Jacobian of `_sabr_vol`; the
+    lowest finite cost wins. Every parameter set the solver accepts has
+    a positive level term 1 + (2 - 3 rho^2) nu^2 T / 24, so the fitted
+    smile is positive at the money. Convex pivot triples are fitted
+    essentially exactly; concave ones end at the best convex compromise
+    with visible residuals.
     """
-    from scipy.optimize import least_squares
-
     strikes = pivots.strikes
     vols = pivots.vols
     forward = pivots.forward
@@ -172,45 +171,160 @@ def sabr_fit(pivots) -> SABRFit:
     # Pivot closest to the forward anchors the starting vol level.
     near_atm = min(range(3), key=lambda i: abs(strikes[i] - forward))
     vol_scale = vols[near_atm]
-    lower = np.array([1e-6 * min(vols), NU_BOUNDS[0], RHO_BOUNDS[0]])
-    upper = np.array([1e3 * max(vols), NU_BOUNDS[1], RHO_BOUNDS[1]])
+    lower = (1e-6 * min(vols), NU_BOUNDS[0], RHO_BOUNDS[0])
+    upper = (1e3 * max(vols), NU_BOUNDS[1], RHO_BOUNDS[1])
 
-    def residual_vec(x):
-        alpha, nu, rho = x.tolist()
-        return [_sabr_vol(alpha, nu, rho, forward, expiry, k) - v for k, v in zip(strikes, vols)]
+    def evaluate(alpha, nu, rho):
+        # the box cannot hold the level term positive, so the solver does
+        if not 1.0 + (2.0 - 3.0 * rho**2) / 24.0 * nu**2 * expiry > 0.0:
+            return None
+        residuals, rows = [], []
+        for k, v in zip(strikes, vols):
+            vol, row = _sabr_vol(alpha, nu, rho, forward, expiry, k, gradient=True)
+            residuals.append(vol - v)
+            rows.append(row)
+        cost = sum(r * r for r in residuals)
+        return (cost, residuals, rows) if math.isfinite(cost) else None
 
-    def jacobian(x):
-        alpha, nu, rho = x.tolist()
-        return [_sabr_vol(alpha, nu, rho, forward, expiry, k, gradient=True)[1] for k in strikes]
-
-    def run(nu0: float, rho0: float):
-        # at K = F and alpha = 1 the kernel returns the level term itself
-        level = _sabr_vol(1.0, nu0, rho0, forward, expiry, forward)
-        x0 = np.clip([vol_scale / level, nu0, rho0], lower, upper)
-        return least_squares(
-            residual_vec,
-            x0,
-            jac=jacobian,
-            bounds=(lower, upper),
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
-
-    results = [run(nu0, rho0) for nu0 in (0.3, 1.0) for rho0 in (-0.4, 0.4)]
-    finite = [r for r in results if math.isfinite(r.cost)]
+    runs = []
+    for nu0 in (0.3, 1.0):
+        for rho0 in (-0.4, 0.4):
+            # at K = F and alpha = 1 the kernel returns the level term itself
+            level = _sabr_vol(1.0, nu0, rho0, forward, expiry, forward)
+            start = (vol_scale / level, nu0, rho0)
+            start = [min(max(x, lo), hi) for x, lo, hi in zip(start, lower, upper)]
+            runs.append(_levenberg_marquardt(evaluate, start, lower, upper))
+    finite = [r for r in runs if r is not None]
     if not finite:
         raise CalibrationFailure("no least-squares start produced finite parameters")
-    best = min(finite, key=lambda r: r.cost)
+    objective, params, residuals = min(finite, key=lambda r: r[0])
 
-    params = SABRParams(*best.x.tolist())
-    residuals = tuple(residual_vec(best.x))
-    objective = float(sum(r * r for r in residuals))
     # nu = 0 fits the best flat line, so no fit does worse; one that does
     # no better, to the rounding floor (1e-12 * atm)^2, has left rho free.
     mean = sum(vols) / 3.0
     flat_objective = sum((v - mean) ** 2 for v in vols)
     rho_identified = objective < flat_objective * (1.0 - 1e-9) - (1e-12 * vol_scale) ** 2
     return SABRFit(
-        params=params, residuals=residuals, objective=objective, rho_identified=rho_identified
+        params=SABRParams(*params),
+        residuals=tuple(residuals),
+        objective=objective,
+        rho_identified=rho_identified,
     )
+
+
+# Levenberg-Marquardt stops once a step would move no parameter p by more
+# than _LM_XTOL * (|p| + 1), once an accepted step lowers the cost by no
+# more than _LM_FTOL of it, or after _LM_MAX_STEPS trial steps.
+_LM_XTOL = 1e-15
+_LM_FTOL = 1e-15
+_LM_MAX_STEPS = 200
+# Initial damping: the first step solves with diag(J^T J) scaled by 1.001.
+_LM_DAMPING = 1e-3
+
+
+def _levenberg_marquardt(evaluate, p, lower, upper):
+    """Minimise a 3-parameter sum of squares over the box [lower, upper].
+
+    `evaluate(*p)` returns (cost, residuals, Jacobian rows), or None at a
+    point the caller rejects; a trial step that lands there is refused
+    like one that raises the cost. Levenberg-Marquardt (More 1978) with
+    Marquardt's scaling by the running maximum of diag(J^T J) and
+    Nielsen's damping update; each step solves
+    (J^T J + lam D) step = -J^T r by Cholesky and is projected onto the
+    box. The run starts in the interior. A parameter on one of its
+    bounds whose cost gradient points out of the box has met its KKT
+    condition there: it is held, and the step is solved over the others,
+    so the run follows a face, edge or corner only while the gradient
+    keeps pushing outwards. Returns (cost, p, residuals) at the lowest
+    cost reached, or None when `p` itself is rejected.
+    """
+    point = evaluate(*p)
+    if point is None:
+        return None
+    cost, residuals, rows = point
+    scale = [0.0, 0.0, 0.0]
+    lam = _LM_DAMPING
+    growth = 2.0
+    for _ in range(_LM_MAX_STEPS):
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
+        r1, r2, r3 = residuals
+        grad = (
+            a1 * r1 + b1 * r2 + c1 * r3,
+            a2 * r1 + b2 * r2 + c2 * r3,
+            a3 * r1 + b3 * r2 + c3 * r3,
+        )
+        h11 = a1 * a1 + b1 * b1 + c1 * c1
+        h22 = a2 * a2 + b2 * b2 + c2 * c2
+        h33 = a3 * a3 + b3 * b3 + c3 * c3
+        h21 = a2 * a1 + b2 * b1 + c2 * c1
+        h31 = a3 * a1 + b3 * b1 + c3 * c1
+        h32 = a3 * a2 + b3 * b2 + c3 * c2
+        scale = [max(scale[0], h11), max(scale[1], h22), max(scale[2], h33)]
+        held = [
+            (x <= lo and g > 0.0) or (x >= hi and g < 0.0)
+            for x, g, lo, hi in zip(p, grad, lower, upper)
+        ]
+        step = _damped_step((h11, h21, h22, h31, h32, h33), grad, scale, lam, held)
+        if step is None:
+            point = None
+        elif all(abs(s) <= _LM_XTOL * (abs(x) + 1.0) for s, x in zip(step, p)):
+            break
+        else:
+            trial = [min(max(x + s, lo), hi) for x, s, lo, hi in zip(p, step, lower, upper)]
+            point = evaluate(*trial)
+        if point is None or not point[0] < cost:
+            lam *= growth
+            growth *= 2.0
+            continue
+        # gain ratio: actual over predicted decrease of the linear model
+        s1, s2, s3 = (t - x for t, x in zip(trial, p))
+        model = (r + j1 * s1 + j2 * s2 + j3 * s3 for r, (j1, j2, j3) in zip(residuals, rows))
+        predicted = cost - sum(m * m for m in model)
+        gain = (cost - point[0]) / predicted if predicted > 0.0 else 0.0
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        growth = 2.0
+        done = cost - point[0] <= _LM_FTOL * cost
+        p = trial
+        cost, residuals, rows = point
+        if done:
+            break
+    return cost, p, residuals
+
+
+def _damped_step(h, grad, scale, lam, held):
+    """Solve (H + lam diag(scale)) step = -grad, with held entries of the
+    step fixed at 0, by a 3x3 Cholesky factorisation; None if the damped
+    matrix is not numerically positive definite."""
+    h11, h21, h22, h31, h32, h33 = h
+    g1, g2, g3 = grad
+    a11 = h11 + lam * scale[0]
+    a22 = h22 + lam * scale[1]
+    a33 = h33 + lam * scale[2]
+    # a held parameter gets a unit row and column and a zero right-hand side
+    if held[0]:
+        a11, h21, h31, g1 = 1.0, 0.0, 0.0, 0.0
+    if held[1]:
+        a22, h21, h32, g2 = 1.0, 0.0, 0.0, 0.0
+    if held[2]:
+        a33, h31, h32, g3 = 1.0, 0.0, 0.0, 0.0
+    if not a11 > 0.0:
+        return None
+    l11 = math.sqrt(a11)
+    l21 = h21 / l11
+    l31 = h31 / l11
+    d22 = a22 - l21 * l21
+    if not d22 > 0.0:
+        return None
+    l22 = math.sqrt(d22)
+    l32 = (h32 - l31 * l21) / l22
+    d33 = a33 - l31 * l31 - l32 * l32
+    if not d33 > 0.0:
+        return None
+    l33 = math.sqrt(d33)
+    y1 = -g1 / l11
+    y2 = (-g2 - l21 * y1) / l22
+    y3 = (-g3 - l31 * y1 - l32 * y2) / l33
+    x3 = y3 / l33
+    x2 = (y2 - l32 * x3) / l22
+    x1 = (y1 - l21 * x2 - l31 * x3) / l11
+    return x1, x2, x3

@@ -343,15 +343,15 @@ def calibrate_reference_vol(
 
     Scans [0.2*min(vols), 5*max(vols)] geometrically for a sign change of
     the vol residual, expanding the range once if none appears, then
-    solves with Brent. Scan points where the smile itself fails
+    solves with Brent's method (`_brent`; xtol 1e-12, rtol 8.9e-16, at
+    most 200 iterations). Scan points where the smile itself fails
     (below-intrinsic hedge price, or a pivot with no vega) are skipped,
     so failed regions at the extremes only shrink the usable bracket.
     Raises :class:`NoRoot` with the endpoint residuals when no sign
-    change can be found; when the residual is multi-rooted the returned
-    root is whichever the scan isolates first.
+    change can be found, or with the bracket when the smile fails inside
+    it; when the residual is multi-rooted the returned root is whichever
+    the scan isolates first.
     """
-    from scipy.optimize import brentq
-
     k4, sigma4 = fourth_quote
     if k4 in pivots.strikes:
         raise ValueError(f"fourth strike {k4} coincides with a pivot strike")
@@ -367,7 +367,7 @@ def calibrate_reference_vol(
 
     def strict_residual(ref: float) -> float:
         value = residual(ref)
-        if value is None:
+        if value is None or not math.isfinite(value):
             raise NoRoot(
                 f"smile construction failed at reference vol {ref:.6g} "
                 f"while solving for the fourth quote (K={k4}, vol={sigma4})",
@@ -383,7 +383,7 @@ def calibrate_reference_vol(
             a, b = found
             if a == b:
                 return float(a)
-            return float(brentq(strict_residual, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200))
+            return _brent(strict_residual, a, b)
     r_lo, r_hi = ("smile-failed" if r is None else f"{r:.6g}" for r in ends)
     raise NoRoot(
         f"no reference vol in [{lo:.6g}, {hi:.6g}] reprices the fourth quote "
@@ -394,6 +394,10 @@ def calibrate_reference_vol(
 
 
 _SCAN_SAMPLES = 25
+# Brent stops once its bracket is narrower than xtol + rtol * |root|.
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 200
 
 
 def _bracket(residual, lo: float, hi: float):
@@ -419,3 +423,52 @@ def _bracket(residual, lo: float, hi: float):
             prev = (x, value)
         x = hi if i == _SCAN_SAMPLES - 2 else x * ratio
     return None, (first, value)
+
+
+def _brent(f, xpre: float, xcur: float) -> float:
+    """Root of `f` between two points where it has opposite signs.
+
+    Brent's method (Brent 1973, ch. 4), written operation for operation
+    as the widely used `brentq` C loop, so its roots carry the same bits:
+    inverse quadratic interpolation or the secant, with bisection
+    whenever the interpolated step is not short enough.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate (secant)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")

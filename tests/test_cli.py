@@ -450,13 +450,38 @@ def test_bundled_scenarios_cover_reference_setups(scenario_dir):
         assert raw["expiry"] == 1.0
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # Only the fits need the optimizers; price, invert and vv-smile
-    # should not pay for importing them.
-    code = "import sys, normal_vv; print('scipy.optimize' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+NO_SCIPY_RUN = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any scipy import now fails
+from normal_vv import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+loaded = sorted(m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_import_leaves_scipy_optimize_unloaded(scenario_dir, tmp_path):
+    # The package runs on numpy alone. In one interpreter where scipy
+    # cannot be imported, every subcommand on every scenario, and the
+    # golden price and invert runs, exit as they do in the golden runs,
+    # and no scipy module is loaded.
+    commands = [f"{c} {s}" for s in SCENARIO_NAMES for c in SCENARIO_COMMANDS]
+    commands += list(OPTION_COMMANDS)
+    argvs = [golden_argv(c, scenario_dir, tmp_path) for c in commands]
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, json.dumps(argvs)], capture_output=True, text=True
+    )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    report = json.loads(result.stdout)
+    # only scenario 1 has the fourth quote that vv-fit needs
+    expected = [
+        2 if c.startswith("vv-fit") and "scenario1" not in c else 0 for c in commands
+    ]
+    assert dict(zip(commands, report["codes"])) == dict(zip(commands, expected))
+    assert report["scipy"] == []
 
 
 SCENARIO_COMMANDS = ("vv-smile", "sabr-smile", "compare", "vv-fit", "sabr-fit", "density")
@@ -496,26 +521,26 @@ GOLDEN_HASHES = {
     "sabr-smile scenario1_smile.json": "65bc81a8c2c81cfe",
     "compare scenario1_smile.json": "b5ec42591a3eed99",
     "vv-fit scenario1_smile.json": "d71858847a4f3db3",
-    "sabr-fit scenario1_smile.json": "4d15e9b57ef372a6",
-    "density scenario1_smile.json": "3025ac92ba50bbdc",
+    "sabr-fit scenario1_smile.json": "e9f090040c743dac",
+    "density scenario1_smile.json": "71c5d0fca7bad112",
     "vv-smile scenario2_frown.json": "25aa0a04df035e32",
-    "sabr-smile scenario2_frown.json": "84fc5abd7e829666",
-    "compare scenario2_frown.json": "05d5ffbfeda078ef",
+    "sabr-smile scenario2_frown.json": "1369723c38b635df",
+    "compare scenario2_frown.json": "54ebd4178a4af2e1",
     "vv-fit scenario2_frown.json": "5f3a006d2e38643e",
-    "sabr-fit scenario2_frown.json": "38e62923e7d30303",
-    "density scenario2_frown.json": "81bf6f7c55f5238d",
+    "sabr-fit scenario2_frown.json": "ee00c4c4d4773c92",
+    "density scenario2_frown.json": "89309fb084509e2b",
     "vv-smile scenario3_density.json": "40f1ae2b5b30728e",
-    "sabr-smile scenario3_density.json": "a364773e05dfd69e",
-    "compare scenario3_density.json": "6a38452e3ad84286",
+    "sabr-smile scenario3_density.json": "7146b06a8bee8f72",
+    "compare scenario3_density.json": "a85c8e529b4b9115",
     "vv-fit scenario3_density.json": "5f3a006d2e38643e",
-    "sabr-fit scenario3_density.json": "38e62923e7d30303",
-    "density scenario3_density.json": "c5554a83227ac290",
+    "sabr-fit scenario3_density.json": "ee00c4c4d4773c92",
+    "density scenario3_density.json": "ccd95b1a886de976",
     "vv-smile scenario4_density_bimodal.json": "4d46b37de1593161",
-    "sabr-smile scenario4_density_bimodal.json": "f0d1208307282b27",
-    "compare scenario4_density_bimodal.json": "70398d97078b0822",
+    "sabr-smile scenario4_density_bimodal.json": "f6aaf15a877ef8d5",
+    "compare scenario4_density_bimodal.json": "0ad90ce5292834bd",
     "vv-fit scenario4_density_bimodal.json": "5f3a006d2e38643e",
-    "sabr-fit scenario4_density_bimodal.json": "f4a2e8d46912f6b2",
-    "density scenario4_density_bimodal.json": "c9c1ecdb2125e586",
+    "sabr-fit scenario4_density_bimodal.json": "b8cb4cdf6aeda7a8",
+    "density scenario4_density_bimodal.json": "d6d1941f9f6e0170",
     "price --forward 0 --strike 10 --expiry 1 --vol 50": "c8728357279a601c",
     "price --forward 1.5 --strike -20 --expiry 2 --df 0.9 --vol 33 --put": "f541f7beaec2546e",
     "invert --forward 0 --strike 10 --expiry 1 --price 15": "e3611cd373d958ea",
@@ -524,7 +549,7 @@ GOLDEN_HASHES = {
     "vv-smile no_vega.json": "7f08ce2ce290569a",
     "price --forward 0 --strike 0 --expiry 1 --df 0 --vol 50": "5f31e2117b321bbe",
     "invert --forward 0 --strike -50 --expiry 1 --price 49": "476d0f6c516d26f1",
-    "density scenario4_density_bimodal.json --diagnostics-out SIDECAR": "4a8a8e3170bb5f64",
+    "density scenario4_density_bimodal.json --diagnostics-out SIDECAR": "35927e4439b7c9af",
 }
 
 

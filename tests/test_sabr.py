@@ -316,3 +316,25 @@ class TestRhoIdentified:
     def test_scenarios(self, scenario_dir, name, identified):
         fit = sabr_fit(load_scenario(str(scenario_dir / name)).pivots)
         assert fit.rho_identified is identified
+
+
+class TestLevelTerm:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        forward=st.floats(-300.0, 300.0),
+        expiry=st.floats(5.0, 30.0),
+        atm=st.floats(20.0, 150.0),
+        width=st.floats(0.05, 1.5),
+        wings=st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+    )
+    def test_long_dated_fits_keep_level_positive(self, forward, expiry, atm, width, wings):
+        # Steep convex wings at long expiries call for a large nu; with
+        # |rho| above sqrt(2/3) the level term 1 + (2 - 3 rho^2) nu^2 T / 24
+        # could then turn negative inside the box, and the fit must not
+        # land there.
+        h = width * atm * math.sqrt(expiry)
+        vols = (atm * (1.0 + wings[0]), atm, atm * (1.0 + wings[1]))
+        fit = sabr_fit(PivotSet(forward, expiry, (forward - h, forward, forward + h), vols, 1.0))
+        nu, rho = fit.params.nu, fit.params.rho
+        assert 1.0 + (2.0 - 3.0 * rho * rho) / 24.0 * nu * nu * expiry > 0.0
+        assert sabr_normal_vol(fit.params, forward, expiry, forward) > 0.0

@@ -352,6 +352,39 @@ def test_price_is_flat_price_plus_weighted_pivot_gaps(case):
         assert vv_price(p, k) == expected
 
 
+# name: (vols, forward, expiry, strikes, discount, fourth strike, fourth vol,
+# root). Most fourth vols were planted as the exact smile at one reference
+# vol; where the residual has several roots the scan may isolate another.
+BRENT_PINS = {
+    # scenario 1's fourth quote, planted at 55
+    "scenario1": ((51.0, 50.0, 52.0), 0.0, 1.0, STRIKES, 1.0, 100.0,
+                  "0x1.c98b39d5349efp+5", "0x1.b800000000029p+5"),
+    "convex_planted_47": ((51.0, 50.0, 52.0), 0.0, 1.0, STRIKES, 1.0, -90.0,
+                          "0x1.a909e4ccce4f2p+5", "0x1.77ffffffffffcp+5"),
+    "convex_quote_60": ((51.0, 50.0, 52.0), 0.0, 1.0, STRIKES, 1.0, 100.0,
+                        "0x1.e000000000000p+5", "0x1.fe47ecdab6499p+5"),
+    # planted at 54; the scan isolates a lower root first
+    "skew_planted_54": ((56.0, 50.0, 46.0), 0.0, 1.0, STRIKES, 1.0, 90.0,
+                        "0x1.50908b088fbcdp+5", "0x1.d3175a42183f5p+4"),
+    "skew_planted_38": ((56.0, 50.0, 46.0), 0.0, 1.0, STRIKES, 1.0, -75.0,
+                        "0x1.bb525539898e7p+5", "0x1.3000000000004p+5"),
+    # planted at 45; the scan isolates a lower root first
+    "frown_planted_45": ((48.0, 50.0, 49.0), 0.0, 1.0, STRIKES, 1.0, -80.0,
+                         "0x1.6d85944cbd188p+5", "0x1.0cf090e70be7fp+5"),
+    # planted at 58; the scan isolates a lower root first
+    "long_negative_forward": ((70.0, 64.0, 61.0), -120.0, 7.0, (-260.0, -120.0, 20.0), 0.9,
+                              150.0, "0x1.ec599eedec3e9p+5", "0x1.8fabeaaaa8e1bp+5"),
+    # planted at the first scan point, 0.2 * min(vols): an exact zero there
+    "exact_zero_scan_point": ((51.0, 50.0, 52.0), 0.0, 1.0, STRIKES, 1.0, 100.0,
+                              "0x1.900cb41adc612p+3", "0x1.4000000000000p+3"),
+    # only the expanded scan brackets these two
+    "expanded_scan_300": ((51.0, 50.0, 52.0), 0.0, 1.0, (-100.0, 0.0, 100.0), 1.0, 150.0,
+                          "0x1.19ea08d8fa6f4p+7", "0x1.2c00000000000p+8"),
+    "expanded_scan_700": ((51.0, 50.0, 52.0), 0.0, 1.0, (-100.0, 0.0, 100.0), 1.0, 150.0,
+                          "0x1.30144d4164b2cp+7", "0x1.5dffffffffe9fp+9"),
+}
+
+
 class TestReferenceCalibration:
     def test_round_trip_recovers_planted_reference(self):
         base = PivotSet(0.0, 1.0, STRIKES, (51.0, 50.0, 52.0), 1.0)
@@ -399,6 +432,42 @@ class TestReferenceCalibration:
             calibrate_reference_vol(base, (50.0, 53.0))
         with pytest.raises(ValueError):
             calibrate_reference_vol(base, (100.0, -1.0))
+
+    @pytest.mark.parametrize("case", sorted(BRENT_PINS))
+    def test_pinned_bits(self, case):
+        # The root bits of scipy.optimize.brentq (xtol 1e-12, rtol 8.9e-16,
+        # maxiter 200), recorded before the solver was ported, so a port
+        # that reorders one operation shows here.
+        vols, forward, expiry, strikes, discount, k4, sigma4, expected = BRENT_PINS[case]
+        base = PivotSet(forward, expiry, strikes, vols, discount)
+        root = calibrate_reference_vol(base, (k4, float.fromhex(sigma4)))
+        assert root == float.fromhex(expected)
+
+    @pytest.mark.parametrize(
+        "case, bracket, message",
+        [
+            # no sign change on either scan; the expanded one starts where
+            # the smile fails, so its low end reports smile-failed
+            (
+                (STRIKES, (51.0, 50.0, 52.0), 0.0, 1.0, 100.0, 250.0),
+                (2.0, 1300.0),
+                "endpoint residuals smile-failed and -149.449",
+            ),
+            # a sign change, but the smile fails between its two points
+            (
+                ((-75.0, -40.0, -5.0), (33.5, 37.5, 30.0), -40.0, 0.75, -180.0, 40.0),
+                ("0x1.5d02ff090069bp+4", "0x1.3d361cefae3a1p+6"),
+                "smile construction failed at reference vol 40.1264",
+            ),
+        ],
+    )
+    def test_no_root_paths(self, case, bracket, message):
+        strikes, vols, forward, expiry, k4, sigma4 = case
+        base = PivotSet(forward, expiry, strikes, vols, 1.0)
+        with pytest.raises(NoRoot, match=message) as excinfo:
+            calibrate_reference_vol(base, (k4, sigma4))
+        expected = tuple(float.fromhex(b) if isinstance(b, str) else b for b in bracket)
+        assert excinfo.value.bracket == expected
 
 
 class TestDefaults:
