@@ -70,6 +70,8 @@ def density_from_prices(
 
     `price_fn` maps a strike to an (discounted) call price, or None where
     it has no answer; a None at x or x +/- delta leaves a NaN gap at x.
+    It is called three times per point, so it should hoist work that no
+    strike changes, as `vv_price` does by keeping its pivot legs.
     The grid must be uniformly spaced and increasing.
     """
     if not delta > 0.0:

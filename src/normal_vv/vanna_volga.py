@@ -10,7 +10,7 @@ which is what the reference scenarios use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class PivotSet:
         return self.vols[1] if self.reference_vol is None else self.reference_vol
 
     def with_reference(self, sigma: float) -> "PivotSet":
-        return replace(self, reference_vol=sigma)
+        return PivotSet(self.forward, self.expiry, self.strikes, self.vols, self.discount, sigma)
 
     def call_spec(self, strike: float) -> OptionSpec:
         return OptionSpec(self.forward, strike, self.expiry, self.discount, "call")
@@ -163,14 +163,15 @@ def _moneyness(pivots: PivotSet, strike: float, sigma: float) -> float:
 
 
 def vv_weights(pivots: PivotSet, k0: float) -> VVWeights:
-    """Hedge and interpolation weights for the target strike `k0`."""
+    """Hedge and interpolation weights for the target strike `k0`; raises
+    :class:`ZeroVega` as `vv_price` does."""
     sigma = pivots.ref_vol
     y = _interp_weights(pivots.strikes, k0)
     d0 = _moneyness(pivots, k0, sigma)
     d = tuple(_moneyness(pivots, k, sigma) for k in pivots.strikes)
     vega0 = norm_pdf(d0)
     # The common DF*sqrt(T) factor cancels in every vega ratio.
-    hedge = tuple(y_i * vega0 / norm_pdf(d_i) for y_i, d_i in zip(y, d))
+    hedge = tuple(y_i * vega0 / vega_i for y_i, (vega_i, _) in zip(y, _memo_legs(pivots)[1]))
     return VVWeights(
         strike=k0,
         hedge=hedge,
@@ -220,7 +221,7 @@ def vv_smile_second_order(pivots: PivotSet, k0):
 def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
     """Per pivot, phi(d_i) at the reference vol and the call price at the
     pivot vol minus that at the reference vol: the part of `vv_price`
-    that no strike changes, so a strike array needs it once."""
+    that no strike changes, so a `PivotSet` needs it once (`_memo_legs`)."""
     sigma, sqrt_t = pivots.ref_vol, math.sqrt(pivots.expiry)
     legs = []
     for strike, vol in zip(pivots.strikes, pivots.vols):
@@ -233,6 +234,18 @@ def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
     return tuple(legs)
 
 
+def _memo_legs(pivots: PivotSet) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """sigma_ref*sqrt(T) and `_pivot_legs`, stored in the instance
+    `__dict__` on the first price: no lock, as a racing thread computes
+    and stores the same tuple. Field-based ==, hash and repr never see it,
+    and a `ZeroVega` raises before anything is stored."""
+    memo = pivots.__dict__.get("_legs")
+    if memo is None:
+        memo = (pivots.ref_vol * math.sqrt(pivots.expiry), _pivot_legs(pivots))
+        pivots.__dict__["_legs"] = memo
+    return memo
+
+
 def vv_price(pivots: PivotSet, k0):
     """Smile-consistent call price at `k0`: flat-vol price plus hedge cost.
 
@@ -241,10 +254,10 @@ def vv_price(pivots: PivotSet, k0):
     construction, and detecting it is the caller's job. Raises
     :class:`ZeroVega` when a pivot has no vega at the reference vol.
     """
-    stddev = pivots.ref_vol * math.sqrt(pivots.expiry)
+    stddev, legs = _memo_legs(pivots)
     price, vega0 = _call_price_pdf(pivots.forward - k0, stddev, pivots.discount)
     # Hedge weight w_i = y_i * vega0 / vega_i: DF*sqrt(T) cancels in the ratio.
-    for y_i, (vega_i, gap_i) in zip(_interp_weights(pivots.strikes, k0), _pivot_legs(pivots)):
+    for y_i, (vega_i, gap_i) in zip(_interp_weights(pivots.strikes, k0), legs):
         price += y_i * vega0 / vega_i * gap_i
     return price
 

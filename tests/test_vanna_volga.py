@@ -1,8 +1,11 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+import normal_vv.vanna_volga as vanna_volga
 from normal_vv import (
     FAILED_BELOW_INTRINSIC,
     NegativeDiscriminant,
@@ -13,6 +16,7 @@ from normal_vv import (
     ZeroVega,
     bachelier_price,
     calibrate_reference_vol,
+    density_from_prices,
     verify_risk_elimination,
     vv_price,
     vv_smile_exact,
@@ -21,6 +25,8 @@ from normal_vv import (
     vv_smile_second_order,
     vv_weights,
 )
+from normal_vv.bachelier import _call_price_pdf, norm_pdf
+from normal_vv.vanna_volga import _interp_weights, _moneyness, _pivot_legs
 
 STRIKES = (-50.0, 0.0, 50.0)
 
@@ -95,6 +101,13 @@ class TestWeights:
     def test_duplicate_strikes_rejected(self):
         with pytest.raises(ValueError):
             PivotSet(0.0, 1.0, (-50.0, -50.0, 50.0), (51.0, 50.0, 52.0), 1.0)
+
+    def test_zero_vega_pivot_raises_zero_vega(self):
+        # At reference vol 0.5 the pivot at -50 sits at d = 100: its vega is 0.
+        dead = PivotSet(0.0, 1.0, (-50.0, 0.0, 50.0), (40.0, 30.0, 45.0), 1.0, 0.5)
+        for fn in (vv_weights, verify_risk_elimination, vv_price, vv_smile_exact):
+            with pytest.raises(ZeroVega, match=r"^pivot -50\.0 has no vega at reference vol 0\.5$"):
+                fn(dead, 10.0)
 
 
 class TestRiskElimination:
@@ -475,6 +488,8 @@ class TestDefaults:
         p = PivotSet(0.0, 1.0, STRIKES, (51.0, 50.0, 52.0), 1.0)
         assert p.ref_vol == 50.0
         assert p.with_reference(61.0).ref_vol == 61.0
+        with pytest.raises(ValueError, match="reference vol"):
+            p.with_reference(-5.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -507,3 +522,104 @@ class TestDefaults:
     def test_rejects_nonfinite_strikes(self, strikes):
         with pytest.raises(ValueError, match="finite"):
             PivotSet(0.0, 1.0, strikes, (51.0, 50.0, 52.0))
+
+
+def fresh_price(p, k):
+    """`vv_price` written out with its pivot legs computed anew."""
+    stddev = p.ref_vol * math.sqrt(p.expiry)
+    price, vega0 = _call_price_pdf(p.forward - k, stddev, p.discount)
+    for y_i, (vega_i, gap_i) in zip(_interp_weights(p.strikes, k), _pivot_legs(p)):
+        price += y_i * vega0 / vega_i * gap_i
+    return price
+
+
+def fresh_hedge(p, k):
+    """`vv_weights(p, k).hedge` with the pivot vegas formed from moneyness."""
+    sigma = p.ref_vol
+    vega0 = norm_pdf(_moneyness(p, k, sigma))
+    y = _interp_weights(p.strikes, k)
+    return tuple(y_i * vega0 / norm_pdf(_moneyness(p, k_i, sigma)) for y_i, k_i in zip(y, p.strikes))
+
+
+class TestPivotLegMemo:
+    """A `PivotSet` keeps its strike-independent pivot legs after the first
+    price. The memo must save kernel calls and change no bit."""
+
+    def test_kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = vanna_volga._call_price_pdf
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(vanna_volga, "_call_price_pdf", counted)
+        p = pivots()
+        n = 25
+        for k in np.linspace(-120.0, 120.0, n).tolist():
+            vv_price(p, k)
+        assert len(calls) == n + 6
+        copy = p.with_reference(55.0)
+        vv_price(copy, 10.0)
+        assert len(calls) == n + 6 + 1 + 6
+        vv_price(p, 10.0)
+        assert len(calls) == n + 6 + 1 + 6 + 1
+        dead = PivotSet(0.0, 1.0, (-50.0, 0.0, 50.0), (40.0, 30.0, 45.0), 1.0, 0.5)
+        for _ in range(2):
+            before = len(calls)
+            with pytest.raises(ZeroVega):
+                vv_price(dead, 10.0)
+            assert len(calls) > before  # a failure is raised anew, never stored
+
+    def test_prices_and_weights_match_fresh_legs(self):
+        rng = np.random.default_rng(15)
+        pairs = 0
+        for _ in range(250):
+            p, _ = random_pivot_draw(rng)
+            scale = p.ref_vol * math.sqrt(p.expiry)
+            strikes = [p.forward + rng.uniform(-9.0, 9.0) * scale for _ in range(8)]
+            from_array = vv_price(p, np.array(strikes)).tolist()
+            for k, element in zip(strikes, from_array):
+                price = vv_price(p, k)
+                assert price.hex() == fresh_price(p, k).hex() == element.hex()
+                hedge = [w.hex() for w in vv_weights(p, k).hedge]
+                assert hedge == [w.hex() for w in fresh_hedge(p, k)]
+                pairs += 1
+        assert pairs >= 2000
+
+    def test_density_matches_fresh_second_difference(self):
+        delta = 0.1
+        gaps = 0
+        for p in ARRAY_CASES.values():
+            half = 9.0 * p.ref_vol * math.sqrt(p.expiry)
+            xs = np.linspace(p.forward - half, p.forward + half, 601)
+
+            def above_intrinsic(price_fn, p=p):
+                def price(k):
+                    value = price_fn(k)
+                    return value if value > p.call_spec(k).intrinsic() else None
+
+                return price
+
+            memoized, fresh = partial(vv_price, p), partial(fresh_price, p)
+            for fn, oracle in ((memoized, fresh), (above_intrinsic(memoized), above_intrinsic(fresh))):
+                expected = []
+                for x in xs.tolist():
+                    center, up, down = oracle(x), oracle(x + delta), oracle(x - delta)
+                    if center is None or up is None or down is None:
+                        expected.append(math.nan)
+                    else:
+                        expected.append((up + down - 2.0 * center) / (p.discount * delta * delta))
+                values = density_from_prices(fn, p.discount, xs, delta).values
+                assert np.array_equal(values, np.array(expected), equal_nan=True)
+                gaps += int(np.count_nonzero(np.isnan(values)))
+        assert gaps > 0  # the gapped stencil is exercised
+
+    def test_priced_set_keeps_its_identity(self):
+        p, twin = pivots(), pivots()
+        before = (hash(p), repr(p), dataclasses.astuple(p))
+        vv_price(p, 10.0)
+        vv_weights(p, -30.0)
+        assert p == twin and twin == p
+        assert (hash(p), repr(p), dataclasses.astuple(p)) == before
+        assert p.with_reference(55.0) == pivots(ref=55.0)
