@@ -320,11 +320,14 @@ def cmd_density(args) -> int:
             "modes": summary.mode_count,
             "gaps": summary.gap_count,
         }
-    print("\n".join(rows))
     if args.diagnostics_out:
-        with open(args.diagnostics_out, "w", encoding="utf-8") as handle:
-            _emit_json(diagnostics, handle)
-    else:
+        try:
+            with open(args.diagnostics_out, "w", encoding="utf-8") as handle:
+                _emit_json(diagnostics, handle)
+        except OSError as exc:
+            raise ValueError(f"cannot write diagnostics file: {exc}") from None
+    print("\n".join(rows))
+    if not args.diagnostics_out:
         _emit_json(diagnostics, sys.stderr)
     return 0
 

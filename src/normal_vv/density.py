@@ -68,16 +68,20 @@ def density_from_prices(
 ) -> DensityGrid:
     """Second-difference density over `grid` with step `delta`.
 
-    `price_fn` maps a strike to an (discounted) call price, or None where
-    it has no answer; a None at x or x +/- delta leaves a NaN gap at x.
-    It is called three times per point, so it should hoist work that no
-    strike changes, as `vv_price` does by keeping its pivot legs.
+    `price_fn` maps a strike (a Python float) to an (discounted) call
+    price, or None where it has no answer. It is called 3N times for N
+    grid points: at every x in grid order, then at every x + delta, then
+    at every x - delta; so it should hoist work that no strike changes,
+    as `vv_price` does by keeping its pivot legs. A None is stored as NaN,
+    so a None at x or x +/- delta leaves a NaN gap at x.
     The grid must be uniformly spaced and increasing.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     if not 0.0 < discount <= 1.0:
         raise ValueError(f"discount factor must be in (0, 1], got {discount}")
+    if not discount * delta * delta > 0.0:
+        raise ValueError(f"delta {delta} is too small: discount * delta**2 underflows to 0")
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 3:
         raise ValueError("grid must be a 1-d array with at least 3 points")
@@ -85,26 +89,20 @@ def density_from_prices(
     if np.any(spacing <= 0) or not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be strictly increasing with uniform spacing")
 
-    # over Python floats: numpy-scalar arithmetic would cost twice the loop
-    values = []
-    for xi in x.tolist():
-        center = price_fn(xi)
-        up = price_fn(xi + delta)
-        down = price_fn(xi - delta)
-        if center is None or up is None or down is None:
-            values.append(math.nan)
-        else:
-            values.append((up + down - 2.0 * center) / (discount * delta * delta))
-    values = np.array(values)
-
-    grid_obj = DensityGrid(
+    center, up, down = (
+        np.fromiter(map(price_fn, k.tolist()), dtype=float, count=k.size)
+        for k in (x, x + delta, x - delta)
+    )
+    # inf - inf and overflow give NaN and inf silently, as Python floats do
+    with np.errstate(all="ignore"):
+        values = (up + down - 2.0 * center) / (discount * delta * delta)
+    return DensityGrid(
         x=x,
         values=values,
         delta=delta,
         source=source,
         diagnostics=_diagnose(x, values),
     )
-    return grid_obj
 
 
 def density_diagnostics(grid: DensityGrid) -> DensityDiagnostics:

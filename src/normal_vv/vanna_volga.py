@@ -326,10 +326,13 @@ def vv_smile_grid(pivots: PivotSet, strikes, method: str = "vv-exact") -> SmileG
     `method` is one of vv-exact, vv-first, vv-second. Every point also
     carries the hedge-replication price. Exact-method points whose price
     violates the intrinsic bound are marked failed and keep vol=None.
+    A non-finite strike raises `ValueError` before any strike is priced.
     """
     if method not in VV_METHODS:
         raise ValueError(f"unknown vanna-volga method {method!r}")
     k = np.fromiter(strikes, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError(f"strike must be finite, got {k[~np.isfinite(k)][0]}")
     prices = vv_price(pivots, k)
     if method == "vv-exact":
         exact = _implied_call_vols(prices, pivots.forward, k, pivots.expiry, pivots.discount)
@@ -368,8 +371,10 @@ def calibrate_reference_vol(
     k4, sigma4 = fourth_quote
     if k4 in pivots.strikes:
         raise ValueError(f"fourth strike {k4} coincides with a pivot strike")
-    if not sigma4 > 0.0:
-        raise ValueError(f"fourth vol must be positive, got {sigma4}")
+    if not math.isfinite(k4):
+        raise ValueError(f"fourth strike must be finite, got {k4}")
+    if not 0.0 < sigma4 < math.inf:
+        raise ValueError(f"fourth vol must be positive and finite, got {sigma4}")
 
     def residual(ref: float) -> float | None:
         try:

@@ -364,6 +364,25 @@ class TestDensityCommand:
         diagnostics = json.loads(sidecar.read_text())
         assert diagnostics["vv-exact"]["modes"] == 2
 
+    def test_unwritable_sidecar_is_invalid_input(self, scenario4, tmp_path):
+        sidecar = tmp_path / "missing" / "diag.json"
+        result = run_cli("density", scenario4, "--diagnostics-out", str(sidecar))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("invalid input: cannot write diagnostics file")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+    def test_delta_whose_square_underflows_is_invalid_input(self, scenario_dir, tmp_path):
+        scenario = json.loads((scenario_dir / "scenario3_density.json").read_text())
+        scenario["density_delta"] = 1e-170
+        path = tmp_path / "tiny_delta.json"
+        path.write_text(json.dumps(scenario))
+        result = run_cli("density", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("invalid input: delta 1e-170 is too small")
+        assert "Traceback" not in result.stderr
+
 
 class TestScenarioValidation:
     def test_malformed_json(self, tmp_path):

@@ -284,6 +284,13 @@ class TestSmileGrid:
             vv_smile_grid(pivots(), STRIKES, "sabr")
 
     @pytest.mark.parametrize("method", ["vv-exact", "vv-first", "vv-second"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_strikes_rejected(self, method, bad):
+        # as the per-strike path does, before any strike is priced
+        with pytest.raises(ValueError, match=f"strike must be finite, got {bad}"):
+            vv_smile_grid(pivots(), [-10.0, bad, 10.0], method)
+
+    @pytest.mark.parametrize("method", ["vv-exact", "vv-first", "vv-second"])
     def test_empty_strikes_give_empty_grid(self, method):
         grid = vv_smile_grid(pivots(), [], method)
         assert grid.points == ()
@@ -445,6 +452,19 @@ class TestReferenceCalibration:
             calibrate_reference_vol(base, (50.0, 53.0))
         with pytest.raises(ValueError):
             calibrate_reference_vol(base, (100.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "quote, message",
+        [
+            ((100.0, math.inf), "fourth vol must be positive and finite, got inf"),
+            ((math.inf, 53.0), "fourth strike must be finite, got inf"),
+            ((math.nan, 53.0), "fourth strike must be finite, got nan"),
+        ],
+    )
+    def test_rejects_nonfinite_fourth_quote(self, quote, message):
+        base = PivotSet(0.0, 1.0, STRIKES, (51.0, 50.0, 52.0), 1.0)
+        with pytest.raises(ValueError, match=message):
+            calibrate_reference_vol(base, quote)
 
     @pytest.mark.parametrize("case", sorted(BRENT_PINS))
     def test_pinned_bits(self, case):
