@@ -7,10 +7,10 @@ Negative forwards and strikes are legal; negative vols are not.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -26,7 +26,22 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x * _INV_SQRT_2)
 
 
-_EXP, _ERFC = np.frompyfunc(math.exp, 1, 1), np.frompyfunc(math.erfc, 1, 1)
+def _is_array(x) -> bool:
+    """Whether `x` is a numpy array, without importing numpy: nothing can
+    be one before numpy is loaded. A float answers first, as it is the
+    common case and costs least."""
+    if isinstance(x, float):
+        return False
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
+@functools.cache
+def _per_element(fn):
+    """`fn` as a ufunc calling it on each element of an array; numpy is
+    imported on the first array call, not with the package."""
+    import numpy as np
+    return np.frompyfunc(fn, 1, 1)
 
 
 def _call_price_pdf(fwd_minus_strike, stddev, discount: float):
@@ -35,9 +50,9 @@ def _call_price_pdf(fwd_minus_strike, stddev, discount: float):
     erfc round differently on a few percent of inputs, so an array element
     equals the float result bit for bit."""
     d = fwd_minus_strike / stddev
-    if isinstance(d, np.ndarray):
-        pdf = _EXP(-0.5 * d * d).astype(float) / _SQRT_2PI
-        cdf = 0.5 * _ERFC(-d * _INV_SQRT_2).astype(float)
+    if _is_array(d):
+        pdf = _per_element(math.exp)(-0.5 * d * d).astype(float) / _SQRT_2PI
+        cdf = 0.5 * _per_element(math.erfc)(-d * _INV_SQRT_2).astype(float)
     else:
         pdf, cdf = norm_pdf(d), norm_cdf(d)
     return discount * (fwd_minus_strike * cdf + stddev * pdf), pdf

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DensityDiagnostics",
@@ -74,10 +75,12 @@ def density_from_prices(
     at every x - delta; so it should hoist work that no strike changes,
     as `vv_price` does by keeping its pivot legs. A None is stored as NaN,
     so a None at x or x +/- delta leaves a NaN gap at x.
-    The grid must be uniformly spaced and increasing.
+    The grid must be uniformly spaced and increasing, and `delta` finite
+    and large enough that x + delta and x - delta differ from every x.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    import numpy as np
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < discount <= 1.0:
         raise ValueError(f"discount factor must be in (0, 1], got {discount}")
     if not discount * delta * delta > 0.0:
@@ -89,9 +92,12 @@ def density_from_prices(
     if np.any(spacing <= 0) or not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be strictly increasing with uniform spacing")
 
+    x_up, x_down = x + delta, x - delta
+    if np.any(x_up == x) or np.any(x_down == x):
+        raise ValueError(f"delta {delta} is too small: x +/- delta rounds to x on the grid")
     center, up, down = (
         np.fromiter(map(price_fn, k.tolist()), dtype=float, count=k.size)
-        for k in (x, x + delta, x - delta)
+        for k in (x, x_up, x_down)
     )
     # inf - inf and overflow give NaN and inf silently, as Python floats do
     with np.errstate(all="ignore"):
@@ -111,6 +117,7 @@ def density_diagnostics(grid: DensityGrid) -> DensityDiagnostics:
 
 
 def _diagnose(x: np.ndarray, values: np.ndarray) -> DensityDiagnostics:
+    import numpy as np
     valid = np.isfinite(values)
     gap_count = int(np.size(values) - np.count_nonzero(valid))
     if np.count_nonzero(valid) < 3:

@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bachelier import OptionSpec, _call_price_pdf
+from .bachelier import OptionSpec, _call_price_pdf, _is_array, _per_element
 
 __all__ = [
     "ArbitrageViolation",
@@ -73,8 +71,6 @@ COEFFICIENTS = InversionCoefficients(
 # closed form seeds the Newton steps; at F == K eta is 0 / 0.
 _ATM_BAND = 1e-14
 
-_LOG, _LOG1P = np.frompyfunc(math.log, 1, 1), np.frompyfunc(math.log1p, 1, 1)
-
 
 def _rational_kernel(eta: float) -> float:
     num = 0.0
@@ -83,15 +79,17 @@ def _rational_kernel(eta: float) -> float:
     den = 0.0
     for b in reversed(COEFFICIENTS.denominator):
         den = den * eta + b
-    # sqrt is correctly rounded in numpy as in math, so arrays may use np.sqrt.
-    root = np.sqrt(eta) if isinstance(eta, np.ndarray) else math.sqrt(eta)
-    return root * num / den
+    if _is_array(eta):  # sqrt is correctly rounded in numpy as in math
+        import numpy as np
+        return np.sqrt(eta) * num / den
+    return math.sqrt(eta) * num / den
 
 
 def _log(x):
     """math.log on a float or per element of an array; NaN where x <= 0."""
-    if isinstance(x, np.ndarray):
-        return _LOG(np.where(x > 0.0, x, math.nan)).astype(float)
+    if _is_array(x):
+        import numpy as np
+        return _per_element(math.log)(np.where(x > 0.0, x, math.nan)).astype(float)
     return math.log(x) if x > 0.0 else math.nan
 
 
@@ -108,8 +106,10 @@ def _implied_vol(value, distance, atm, expiry: float):
     # eta = theta / atanh(theta) for theta = distance / straddle, where
     # 2 atanh(theta) = log1p(distance / value): the time value is never
     # rounded against |F - K| before the log.
-    if isinstance(value, np.ndarray):
-        eta = 2.0 * distance / (straddle * _LOG1P(distance / value).astype(float))
+    if _is_array(value):
+        import numpy as np
+        log1p = _per_element(math.log1p)(distance / value).astype(float)
+        eta = 2.0 * distance / (straddle * log1p)
         ckk = math.sqrt(math.pi / (2.0 * expiry)) * straddle * _rational_kernel(eta)
         sigma = np.where(atm, sigma, ckk)
     elif not atm:
@@ -157,6 +157,7 @@ def implied_normal_vol(price: float, spec: OptionSpec) -> float:
 def _implied_call_vols(prices, forward: float, strikes, expiry: float, discount: float):
     """`implied_normal_vol` of call quotes over float arrays: bit for bit
     equal where it returns, NaN where it raises ArbitrageViolation."""
+    import numpy as np
     payoff = forward - strikes
     intrinsic = np.maximum(payoff, 0.0)
     value = prices / discount - intrinsic

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bachelier import OptionSpec, _call_price_pdf, norm_pdf
+from .bachelier import OptionSpec, _call_price_pdf, _is_array, norm_pdf
 from .implied_vol import ArbitrageViolation, _implied_call_vols, implied_normal_vol
 
 __all__ = [
@@ -209,7 +207,8 @@ def vv_smile_second_order(pivots: PivotSet, k0):
     )
     correction = 2.0 * sigma * p_term + q_term
     discriminant = sigma * sigma + d0 * d0 * correction
-    if isinstance(discriminant, np.ndarray):
+    if _is_array(discriminant):
+        import numpy as np
         for i in np.flatnonzero(discriminant < 0.0)[:1]:
             raise NegativeDiscriminant(float(k0[i]), float(discriminant[i]))
         return sigma + correction / (sigma + np.sqrt(discriminant))
@@ -328,6 +327,7 @@ def vv_smile_grid(pivots: PivotSet, strikes, method: str = "vv-exact") -> SmileG
     violates the intrinsic bound are marked failed and keep vol=None.
     A non-finite strike raises `ValueError` before any strike is priced.
     """
+    import numpy as np
     if method not in VV_METHODS:
         raise ValueError(f"unknown vanna-volga method {method!r}")
     k = np.fromiter(strikes, dtype=float)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from normal_vv import OptionSpec, bachelier_greeks, bachelier_price
+from normal_vv import OptionSpec, bachelier_greeks, bachelier_price, implied_normal_vol
+from normal_vv.bachelier import _is_array
+from normal_vv.implied_vol import _rational_kernel
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -227,3 +229,38 @@ class TestOptionSpec:
         assert OptionSpec(10.0, -5.0, 1.0, 0.5).intrinsic() == 7.5
         assert OptionSpec(10.0, -5.0, 1.0, 0.5, "put").intrinsic() == 0.0
         assert OptionSpec(-20.0, -5.0, 1.0, 1.0, "put").intrinsic() == 15.0
+
+
+class TestIsArray:
+    """`_is_array` sends every scalar down the scalar path, numpy scalars
+    and ints included, and every ndarray, 0-d too, down the array path."""
+
+    @pytest.mark.parametrize("x", [1.5, 3, np.float64(1.5), np.float32(1.5), np.int64(3)])
+    def test_scalars_are_not_arrays(self, x):
+        assert not _is_array(x)
+
+    @pytest.mark.parametrize("x", [np.array(1.5), np.array([1.5, 2.0])])
+    def test_arrays_are_arrays(self, x):
+        assert _is_array(x)
+
+    def test_float32_inputs_keep_their_type(self):
+        s = OptionSpec(np.float32(0), np.float32(10), 1.0)
+        price = bachelier_price(s, np.float32(50))
+        assert type(price) is np.float32 and price == np.float32(15.34473)
+        vol = implied_normal_vol(price, s)
+        assert type(vol) is np.float32 and vol == np.float32(49.999996)
+
+    def test_int_inputs_give_floats(self):
+        s = OptionSpec(0, 10, 1)
+        price = bachelier_price(s, 50)
+        assert type(price) is float and price == 15.344731793163824
+        vol = implied_normal_vol(price, s)
+        assert type(vol) is float and vol == 50.0
+
+    def test_zero_d_array_takes_the_array_branch(self):
+        # math.sqrt raises on a negative float, np.sqrt gives NaN
+        with pytest.raises(ValueError):
+            _rational_kernel(-0.5)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(_rational_kernel(np.array(-0.5)))
+        assert _rational_kernel(np.array(0.5)) == _rational_kernel(0.5)

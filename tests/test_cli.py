@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,6 +90,17 @@ class TestPriceCommand:
         )
         assert result.returncode == 2
         assert "0 < df <= 1" in result.stderr
+
+    @pytest.mark.parametrize("option", ["--strike", "--forward"])
+    def test_negative_e_notation_in_equals_form(self, option, capsys):
+        # argparse takes "-1.5e2" after a space for an option name, so a
+        # negative value in e-notation is written --option=-1.5e2
+        other = "--forward" if option == "--strike" else "--strike"
+        outputs = []
+        for value in ([f"{option}=-1.5e2"], [option, "-150"]):
+            assert cli.main(["price", *value, other, "0", "--expiry", "1", "--vol", "50"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out
 
 
 class TestInvertCommand:
@@ -383,6 +395,18 @@ class TestDensityCommand:
         assert result.stderr.startswith("invalid input: delta 1e-170 is too small")
         assert "Traceback" not in result.stderr
 
+    def test_delta_lost_against_the_grid_is_invalid_input(self, scenario_dir, tmp_path):
+        # x +/- 1e-160 rounds to x at every grid point but 0
+        scenario = json.loads((scenario_dir / "scenario3_density.json").read_text())
+        scenario["density_delta"] = 1e-160
+        path = tmp_path / "lost_delta.json"
+        path.write_text(json.dumps(scenario))
+        result = run_cli("density", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("invalid input: delta 1e-160 is too small")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
 
 class TestScenarioValidation:
     def test_malformed_json(self, tmp_path):
@@ -469,17 +493,36 @@ def test_bundled_scenarios_cover_reference_setups(scenario_dir):
         assert raw["expiry"] == 1.0
 
 
-NO_SCIPY_RUN = """
+BLOCKED_RUN = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None  # any scipy import now fails
+blocked = json.loads(sys.argv[1])
+for name in blocked:
+    sys.modules[name] = None  # any import of it now fails
 from normal_vv import cli
-codes = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(cli.main(argv))
-loaded = sorted(m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module)
-print(json.dumps({"codes": codes, "scipy": loaded}))
+report = {"codes": [], "outputs": []}
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        report["codes"].append(cli.main(argv))
+    report["outputs"].append([out.getvalue(), err.getvalue()])
+for name in blocked:
+    report[name] = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == name and mod)
+print(json.dumps(report))
 """
+
+
+def run_blocked(modules, argvs):
+    """Run each argv through `cli.main` in one interpreter where none of
+    `modules` can be imported. The report holds the exit codes, each
+    command's [stdout, stderr], and under each blocked name the modules of
+    that package loaded at the end."""
+    result = subprocess.run(
+        [sys.executable, "-c", BLOCKED_RUN, json.dumps(modules), json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 def test_import_leaves_scipy_optimize_unloaded(scenario_dir, tmp_path):
@@ -490,11 +533,7 @@ def test_import_leaves_scipy_optimize_unloaded(scenario_dir, tmp_path):
     commands = [f"{c} {s}" for s in SCENARIO_NAMES for c in SCENARIO_COMMANDS]
     commands += list(OPTION_COMMANDS)
     argvs = [golden_argv(c, scenario_dir, tmp_path) for c in commands]
-    result = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_RUN, json.dumps(argvs)], capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
+    report = run_blocked(["scipy"], argvs)
     # only scenario 1 has the fourth quote that vv-fit needs
     expected = [
         2 if c.startswith("vv-fit") and "scenario1" not in c else 0 for c in commands
@@ -606,3 +645,35 @@ def test_golden_output(command, scenario_dir, tmp_path):
     sidecar = tmp_path / "SIDECAR"
     sidecar_bytes = sidecar.read_bytes() if sidecar.exists() else None
     assert output_hash(result, sidecar_bytes) == GOLDEN_HASHES[command]
+
+
+# The commands that build no array: they run, and print their golden bytes,
+# without numpy.
+SCALAR_COMMANDS = (
+    list(OPTION_COMMANDS)
+    + [f"{c} {s}" for c in ("sabr-fit", "sabr-smile") for s in SCENARIO_NAMES]
+    + ["vv-fit scenario1_smile.json"]
+)
+
+
+def test_scalar_commands_run_without_numpy(scenario_dir, tmp_path):
+    argvs = [golden_argv(c, scenario_dir, tmp_path) for c in SCALAR_COMMANDS]
+    report = run_blocked(["numpy"], argvs)
+    hashes = {
+        command: output_hash(
+            SimpleNamespace(stdout=out.encode(), stderr=err.encode(), returncode=code)
+        )
+        for command, code, (out, err) in zip(SCALAR_COMMANDS, report["codes"], report["outputs"])
+    }
+    assert hashes == {command: GOLDEN_HASHES[command] for command in SCALAR_COMMANDS}
+    assert report["codes"] == [0] * len(SCALAR_COMMANDS)
+    assert report["numpy"] == []
+
+
+def test_import_does_not_load_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, normal_vv.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr

@@ -310,6 +310,8 @@ class TestValidation:
         xs = np.arange(-10.0, 10.0 + 1e-9, 1.0)
         with pytest.raises(ValueError):
             density_from_prices(flat_price_fn(), 1.0, xs, 0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            density_from_prices(flat_price_fn(), 1.0, xs, math.inf)
         with pytest.raises(ValueError):
             density_from_prices(flat_price_fn(), 0.0, xs, 0.1)
 
@@ -317,6 +319,20 @@ class TestValidation:
         xs = np.linspace(-10.0, 10.0, 21)
         with pytest.raises(ValueError, match="underflows to 0"):
             density_from_prices(flat_price_fn(), 1.0, xs, 1e-170)
+
+    def test_rejects_delta_lost_against_the_grid(self, scenario_dir):
+        # Scenario 3 at reference 40: x +/- 1e-160 rounds to x at every
+        # grid point but 0, so the second differences would all be 0
+        scenario = load_scenario(str(scenario_dir / "scenario3_density.json"))
+        p, xs = scenario.pivots.with_reference(40.0), np.array(scenario.strikes())
+        with pytest.raises(ValueError, match="rounds to x"):
+            density_from_prices(partial(vv_price, p), p.discount, xs, 1e-160)
+
+    @pytest.mark.parametrize("xs", [[-0.5, 0.25, 1.0], [-1.0, -0.25, 0.5]])
+    def test_rejects_delta_lost_on_one_side(self, xs):
+        # 1 + 1e-16 rounds to 1, 1 - 1e-16 does not; -1 the other way round
+        with pytest.raises(ValueError, match="rounds to x"):
+            density_from_prices(flat_price_fn(), 1.0, xs, 1e-16)
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
