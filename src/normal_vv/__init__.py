@@ -2,85 +2,18 @@
 SABR comparator, machine-precision implied-vol inversion, and
 risk-neutral density extraction."""
 
-from .bachelier import (
-    GreekSet,
-    OptionSpec,
-    bachelier_greeks,
-    bachelier_price,
-    norm_cdf,
-    norm_pdf,
-)
-from .density import (
-    DensityDiagnostics,
-    DensityGrid,
-    density_diagnostics,
-    density_from_prices,
-)
-from .implied_vol import (
-    COEFFICIENTS,
-    ArbitrageViolation,
-    InversionCoefficients,
-    implied_normal_vol,
-)
-from .sabr import CalibrationFailure, SABRFit, SABRParams, sabr_fit, sabr_normal_vol
-from .vanna_volga import (
-    FAILED_BELOW_INTRINSIC,
-    HedgeResiduals,
-    NegativeDiscriminant,
-    NoRoot,
-    PivotSet,
-    SmileGrid,
-    SmilePoint,
-    VVWeights,
-    ZeroVega,
-    calibrate_reference_vol,
-    verify_risk_elimination,
-    vv_price,
-    vv_smile_exact,
-    vv_smile_first_order,
-    vv_smile_grid,
-    vv_smile_second_order,
-    vv_weights,
-)
+from . import bachelier, density, implied_vol, sabr, vanna_volga
+from .bachelier import *
+from .density import *
+from .implied_vol import *
+from .sabr import *
+from .vanna_volga import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArbitrageViolation",
-    "CalibrationFailure",
-    "COEFFICIENTS",
-    "DensityDiagnostics",
-    "DensityGrid",
-    "FAILED_BELOW_INTRINSIC",
-    "GreekSet",
-    "HedgeResiduals",
-    "InversionCoefficients",
-    "NegativeDiscriminant",
-    "NoRoot",
-    "OptionSpec",
-    "PivotSet",
-    "SABRFit",
-    "SABRParams",
-    "SmileGrid",
-    "SmilePoint",
-    "VVWeights",
-    "ZeroVega",
-    "__version__",
-    "bachelier_greeks",
-    "bachelier_price",
-    "calibrate_reference_vol",
-    "density_diagnostics",
-    "density_from_prices",
-    "implied_normal_vol",
-    "norm_cdf",
-    "norm_pdf",
-    "sabr_fit",
-    "sabr_normal_vol",
-    "verify_risk_elimination",
-    "vv_price",
-    "vv_smile_exact",
-    "vv_smile_first_order",
-    "vv_smile_grid",
-    "vv_smile_second_order",
-    "vv_weights",
-]
+__all__ = ["__version__"]
+__all__ += bachelier.__all__
+__all__ += density.__all__
+__all__ += implied_vol.__all__
+__all__ += sabr.__all__
+__all__ += vanna_volga.__all__

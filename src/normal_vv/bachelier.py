@@ -12,6 +12,10 @@ import math
 import sys
 from dataclasses import dataclass
 
+__all__ = [
+    "OptionSpec", "GreekSet", "bachelier_price", "bachelier_greeks", "norm_pdf", "norm_cdf"
+]
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
@@ -90,12 +94,15 @@ class OptionSpec:
     def is_call(self) -> bool:
         return self.kind == "call"
 
+    @property
+    def _payoff(self) -> float:
+        """F - K for a call, K - F for a put: a put is the call on K - F."""
+        payoff = self.forward - self.strike
+        return payoff if self.kind == "call" else -payoff
+
     def intrinsic(self) -> float:
         """Discounted intrinsic value; the hard lower bound for any price."""
-        payoff = self.forward - self.strike
-        if not self.is_call:
-            payoff = -payoff
-        return self.discount * max(payoff, 0.0)
+        return self.discount * max(self._payoff, 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,7 @@ def bachelier_price(spec: OptionSpec, sigma: float) -> float:
     numbers.
     """
     _require_positive_vol(sigma)
-    payoff = spec.forward - spec.strike if spec.is_call else spec.strike - spec.forward
-    return _call_price_pdf(payoff, sigma * math.sqrt(spec.expiry), spec.discount)[0]
+    return _call_price_pdf(spec._payoff, sigma * math.sqrt(spec.expiry), spec.discount)[0]
 
 
 def bachelier_greeks(spec: OptionSpec, sigma: float) -> GreekSet:
@@ -134,15 +140,14 @@ def bachelier_greeks(spec: OptionSpec, sigma: float) -> GreekSet:
     _require_positive_vol(sigma)
     sqrt_t = math.sqrt(spec.expiry)
     stddev = sigma * sqrt_t
+    payoff = spec._payoff
+    price, pdf = _call_price_pdf(payoff, stddev, spec.discount)
+    delta = spec.discount * norm_cdf(payoff / stddev)
     d = (spec.forward - spec.strike) / stddev
-    vega = spec.discount * sqrt_t * norm_pdf(d)
-    if spec.is_call:
-        delta = spec.discount * norm_cdf(d)
-    else:
-        delta = -spec.discount * norm_cdf(-d)
+    vega = spec.discount * sqrt_t * pdf
     return GreekSet(
-        price=bachelier_price(spec, sigma),
-        delta_forward=delta,
+        price=price,
+        delta_forward=delta if spec.is_call else -delta,
         vega=vega,
         gamma_forward=vega / (sigma * spec.expiry),
         vanna_forward=-vega * d / (sigma * sqrt_t),

@@ -3,9 +3,9 @@
 Scenario files are single JSON documents (see README for the schema).
 Grids are emitted as CSV on stdout with 12 significant digits so that
 identical scenarios produce byte-identical output; diagnostics go to
-stderr. Exit codes: 0 success (possibly with partial grids), 2 for
-usage or scenario-file problems, 3 for numerical or calibration
-failures.
+stderr. Exit codes: 0 success (possibly with partial grids), 1 when
+stdout is closed early (as under `| head`), 2 for usage or scenario-file
+problems, 3 for numerical or calibration failures.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -303,8 +304,8 @@ def cmd_density(args) -> int:
                 vol = sabr_normal_vol(params, pivots.forward, pivots.expiry, k)
                 return bachelier_price(pivots.call_spec(k), vol) if vol > 0.0 else None
         else:
-            # Density always comes from the replication price, so every
-            # vv-* method selector shares one price function.
+            # Density comes from the replication price at the first reference
+            # vol, so every vv-* method selector shares one price function.
             price_fn = partial(vv_price, pivots.with_reference(scenario.reference_vols[0]))
         source = "sabr" if method == "sabr" else "vv"
         grid = density_from_prices(
@@ -383,7 +384,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

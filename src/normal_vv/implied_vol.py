@@ -132,7 +132,7 @@ def implied_normal_vol(price: float, spec: OptionSpec) -> float:
     """
     if not math.isfinite(price):
         raise ArbitrageViolation(f"price must be finite, got {price}")
-    payoff = spec.forward - spec.strike if spec.is_call else spec.strike - spec.forward
+    payoff = spec._payoff
     intrinsic = spec.intrinsic()
     value = price / spec.discount - max(payoff, 0.0)
     if price <= intrinsic or not value > 0.0:

@@ -24,6 +24,7 @@ __all__ = [
     "NegativeDiscriminant",
     "NoRoot",
     "ZeroVega",
+    "FAILED_BELOW_INTRINSIC",
     "vv_weights",
     "vv_smile_first_order",
     "vv_smile_second_order",
@@ -156,20 +157,16 @@ def _interp_weights(strikes: tuple[float, float, float], k0: float) -> tuple[flo
     return (y1, y2, y3)
 
 
-def _moneyness(pivots: PivotSet, strike: float, sigma: float) -> float:
-    return (pivots.forward - strike) / (sigma * math.sqrt(pivots.expiry))
-
-
 def vv_weights(pivots: PivotSet, k0: float) -> VVWeights:
     """Hedge and interpolation weights for the target strike `k0`; raises
     :class:`ZeroVega` as `vv_price` does."""
-    sigma = pivots.ref_vol
     y = _interp_weights(pivots.strikes, k0)
-    d0 = _moneyness(pivots, k0, sigma)
-    d = tuple(_moneyness(pivots, k, sigma) for k in pivots.strikes)
+    stddev, legs = _memo_legs(pivots)
+    d0 = (pivots.forward - k0) / stddev
+    d = tuple((pivots.forward - k) / stddev for k in pivots.strikes)
     vega0 = norm_pdf(d0)
     # The common DF*sqrt(T) factor cancels in every vega ratio.
-    hedge = tuple(y_i * vega0 / vega_i for y_i, (vega_i, _) in zip(y, _memo_legs(pivots)[1]))
+    hedge = tuple(y_i * vega0 / vega_i for y_i, (vega_i, _) in zip(y, legs))
     return VVWeights(
         strike=k0,
         hedge=hedge,
@@ -195,11 +192,13 @@ def vv_smile_second_order(pivots: PivotSet, k0):
     in a rationalized form that is exact at the pivots and smooth
     through the ATM point, where it reduces to the first-order value
     plus the convexity term Q/(2*sigma). Arrays raise at their first bad strike.
+    Needs no pivot vega, so it never raises :class:`ZeroVega`.
     """
     sigma = pivots.ref_vol
+    stddev = sigma * math.sqrt(pivots.expiry)
     y = _interp_weights(pivots.strikes, k0)
-    d0 = _moneyness(pivots, k0, sigma)
-    d = tuple(_moneyness(pivots, k, sigma) for k in pivots.strikes)
+    d0 = (pivots.forward - k0) / stddev
+    d = tuple((pivots.forward - k) / stddev for k in pivots.strikes)
     first_order = sum(y_i * v_i for y_i, v_i in zip(y, pivots.vols))
     p_term = first_order - sigma
     q_term = sum(

@@ -7,6 +7,7 @@ here, not tuned at runtime.
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -285,3 +286,14 @@ def test_scenario_files_parse(scenario_dir):
     for path in sorted(scenario_dir.glob("*.json")):
         raw = json.loads(path.read_text())
         assert raw["discount"] == 1.0
+
+
+def test_readme_quick_tour(scenario_dir):
+    # The README's python block runs as printed and gives its commented values.
+    readme = (scenario_dir.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(block, namespace)
+    assert repr(namespace["price"]).startswith("54.4101")
+    assert namespace["vol"] == pytest.approx(51.0, rel=1e-13)
+    assert namespace["ref"] == pytest.approx(55.0, rel=1e-12)

@@ -88,7 +88,8 @@ class TestPrice:
 
     def test_textbook_formula_bit_for_bit(self):
         # Puts are priced as calls on K - F; that reflection must change
-        # no bit of the textbook put formula, deep in both wings too.
+        # no bit of the textbook put formula, its delta or its vega, deep
+        # in both wings too.
         def cdf(x):
             return 0.5 * math.erfc(-x * INV_SQRT_2)
 
@@ -102,10 +103,16 @@ class TestPrice:
                     d = (F - K) / stddev
                     call = df * ((F - K) * cdf(d) + stddev * pdf(d))
                     put = df * ((K - F) * cdf(-d) + stddev * pdf(d))
-                    for kind, expected in (("call", call), ("put", put)):
+                    vega = df * math.sqrt(T) * pdf(d)
+                    for kind, expected, delta in (
+                        ("call", call, df * cdf(d)), ("put", put, -df * cdf(-d))
+                    ):
                         s = spec(F, K, T, df, kind)
                         assert bachelier_price(s, sigma) == expected, (F, K, kind)
-                        assert bachelier_greeks(s, sigma).price == expected
+                        greeks = bachelier_greeks(s, sigma)
+                        assert greeks.price == expected
+                        assert greeks.delta_forward.hex() == delta.hex(), (F, K, kind)
+                        assert greeks.vega.hex() == vega.hex(), (F, K, kind)
 
     def test_rejects_nonpositive_vol(self):
         with pytest.raises(ValueError):

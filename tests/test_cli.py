@@ -1,14 +1,17 @@
 import csv
 import hashlib
+import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
-from normal_vv import cli
+import normal_vv
+from normal_vv import bachelier, cli, density, implied_vol, sabr, vanna_volga
 from normal_vv.sabr import SABRFit, SABRParams, sabr_normal_vol
 
 CLI = [sys.executable, "-m", "normal_vv.cli"]
@@ -257,6 +260,23 @@ class TestSmileCommands:
             if row["strike"] in expected:
                 assert float(row["vol"]) == pytest.approx(expected[row["strike"]], abs=1e-9)
 
+    def test_singular_keys_read_as_one_item_lists(self, tmp_path, scenario_dir):
+        scenario = json.loads((scenario_dir / "scenario1_smile.json").read_text())
+        del scenario["reference_vols"], scenario["methods"]
+        outputs = []
+        for i, keys in enumerate(
+            ({"reference_vol": 55, "method": "vv-first"},
+             {"reference_vols": [55], "methods": ["vv-first"]})
+        ):
+            path = tmp_path / f"keys{i}.json"
+            path.write_text(json.dumps({**scenario, **keys}))
+            result = run_cli("vv-smile", str(path))
+            assert result.returncode == 0
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        rows = parse_csv(outputs[0])
+        assert {(row["method"], row["reference_vol"]) for row in rows} == {("vv-first", "55")}
+
     def test_rows_reprice_consistently(self, scenario1):
         # any ok row can be pushed back through price and invert
         rows = parse_csv(run_cli("vv-smile", scenario1).stdout)
@@ -367,6 +387,18 @@ class TestDensityCommand:
         assert diagnostics["vv-exact"]["modes"] == 2
         assert diagnostics["vv-exact"]["integral"] == pytest.approx(1.0, abs=1e-3)
         assert diagnostics["sabr"]["modes"] == 1
+
+    def test_prices_at_the_first_reference_vol_only(self, scenario_dir, tmp_path):
+        scenario = json.loads((scenario_dir / "scenario3_density.json").read_text())
+        results = []
+        for i, refs in enumerate(([40.0], [40.0, 55.0], [55.0])):
+            path = tmp_path / f"refs{i}.json"
+            path.write_text(json.dumps({**scenario, "reference_vols": refs}))
+            result = run_cli("density", str(path))
+            assert result.returncode == 0
+            results.append((result.stdout, result.stderr))
+        assert results[0] == results[1]
+        assert results[0][0] != results[2][0]
 
     def test_diagnostics_sidecar(self, scenario4, tmp_path):
         sidecar = tmp_path / "diag.json"
@@ -498,7 +530,8 @@ import contextlib, io, json, sys
 blocked = json.loads(sys.argv[1])
 for name in blocked:
     sys.modules[name] = None  # any import of it now fails
-from normal_vv import cli
+import normal_vv
+from normal_vv import bachelier, cli, density, implied_vol, sabr, vanna_volga
 report = {"codes": [], "outputs": []}
 for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
@@ -677,3 +710,61 @@ def test_import_does_not_load_numpy():
         text=True,
     )
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "vv-smile scenario3_density.json",
+        "density scenario3_density.json",
+        "price --forward 0 --strike 10 --expiry 1 --vol 50",
+    ],
+)
+def test_closed_stdout_exits_1_quietly(command, scenario_dir, tmp_path):
+    # The read end is closed before the child writes, as when `| head` has
+    # exited: the first write, or the final flush of a short output, fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            CLI + golden_argv(command, scenario_dir, tmp_path),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
+PUBLIC_NAMES = {
+    "__version__",
+    # bachelier
+    "GreekSet", "OptionSpec", "bachelier_greeks", "bachelier_price", "norm_cdf", "norm_pdf",
+    # density
+    "DensityDiagnostics", "DensityGrid", "density_diagnostics", "density_from_prices",
+    # implied_vol
+    "COEFFICIENTS", "ArbitrageViolation", "InversionCoefficients", "implied_normal_vol",
+    # sabr
+    "CalibrationFailure", "SABRFit", "SABRParams", "sabr_fit", "sabr_normal_vol",
+    # vanna_volga
+    "FAILED_BELOW_INTRINSIC", "HedgeResiduals", "NegativeDiscriminant", "NoRoot", "PivotSet",
+    "SmileGrid", "SmilePoint", "VVWeights", "ZeroVega", "calibrate_reference_vol",
+    "verify_risk_elimination", "vv_price", "vv_smile_exact", "vv_smile_first_order",
+    "vv_smile_grid", "vv_smile_second_order", "vv_weights",
+}
+
+
+def test_public_surface():
+    assert sorted(normal_vv.__all__) == sorted(PUBLIC_NAMES)  # no name twice
+    namespace = {}
+    exec("from normal_vv import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+    # Beyond them the package holds only its submodules: no math or sys.
+    extra = {n for n in vars(normal_vv) if not n.startswith("_")} - PUBLIC_NAMES
+    assert all(vars(normal_vv)[n].__name__ == f"normal_vv.{n}" for n in extra), extra
+    for module in (bachelier, density, implied_vol, sabr, vanna_volga):
+        for name in module.__all__:
+            value = vars(module)[name]
+            assert not inspect.ismodule(value), (module.__name__, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, (module.__name__, name)

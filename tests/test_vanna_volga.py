@@ -26,7 +26,7 @@ from normal_vv import (
     vv_weights,
 )
 from normal_vv.bachelier import _call_price_pdf, norm_pdf
-from normal_vv.vanna_volga import _interp_weights, _moneyness, _pivot_legs
+from normal_vv.vanna_volga import _interp_weights, _pivot_legs
 
 STRIKES = (-50.0, 0.0, 50.0)
 
@@ -108,6 +108,9 @@ class TestWeights:
         for fn in (vv_weights, verify_risk_elimination, vv_price, vv_smile_exact):
             with pytest.raises(ZeroVega, match=r"^pivot -50\.0 has no vega at reference vol 0\.5$"):
                 fn(dead, 10.0)
+        # The approximations divide by no vega: they still return.
+        assert vv_smile_first_order(dead, 10.0).hex() == "0x1.effffffffffffp+4"
+        assert vv_smile_second_order(dead, 10.0).hex() == "0x1.acd80d3481ce6p+5"
 
 
 class TestRiskElimination:
@@ -555,10 +558,10 @@ def fresh_price(p, k):
 
 def fresh_hedge(p, k):
     """`vv_weights(p, k).hedge` with the pivot vegas formed from moneyness."""
-    sigma = p.ref_vol
-    vega0 = norm_pdf(_moneyness(p, k, sigma))
+    stddev = p.ref_vol * math.sqrt(p.expiry)
+    vega0 = norm_pdf((p.forward - k) / stddev)
     y = _interp_weights(p.strikes, k)
-    return tuple(y_i * vega0 / norm_pdf(_moneyness(p, k_i, sigma)) for y_i, k_i in zip(y, p.strikes))
+    return tuple(y_i * vega0 / norm_pdf((p.forward - k_i) / stddev) for y_i, k_i in zip(y, p.strikes))
 
 
 class TestPivotLegMemo:
