@@ -102,7 +102,7 @@ class OptionSpec:
 
     def intrinsic(self) -> float:
         """Discounted intrinsic value; the hard lower bound for any price."""
-        return self.discount * max(self._payoff, 0.0)
+        return self.discount * max(0.0, self._payoff)  # +0.0 at the money
 
 
 @dataclass(frozen=True)

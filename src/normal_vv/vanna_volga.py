@@ -10,6 +10,7 @@ which is what the reference scenarios use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .bachelier import OptionSpec, _call_price_pdf, _is_array, norm_pdf
@@ -53,8 +54,8 @@ class NegativeDiscriminant(ArithmeticError):
 
 
 class ZeroVega(ZeroDivisionError):
-    """A pivot's vega underflows to 0 at the reference vol (|d| above about
-    38.6), and every hedge weight divides by it."""
+    """A pivot's vega at the reference vol is 0 or subnormal (|d| above about
+    37.6): every hedge weight divides by it, and would overflow."""
 
 
 class NoRoot(RuntimeError):
@@ -225,7 +226,7 @@ def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
     for strike, vol in zip(pivots.strikes, pivots.vols):
         payoff = pivots.forward - strike
         ref_price, vega = _call_price_pdf(payoff, sigma * sqrt_t, pivots.discount)
-        if vega == 0.0:  # every hedge weight divides by it, in arrays too
+        if vega < sys.float_info.min:  # every hedge weight divides by it, in arrays too
             raise ZeroVega(f"pivot {strike} has no vega at reference vol {sigma}")
         price = _call_price_pdf(payoff, vol * sqrt_t, pivots.discount)[0]
         legs.append((vega, price - ref_price))

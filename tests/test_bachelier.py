@@ -236,6 +236,9 @@ class TestOptionSpec:
         assert OptionSpec(10.0, -5.0, 1.0, 0.5).intrinsic() == 7.5
         assert OptionSpec(10.0, -5.0, 1.0, 0.5, "put").intrinsic() == 0.0
         assert OptionSpec(-20.0, -5.0, 1.0, 1.0, "put").intrinsic() == 15.0
+        # F - K is +0.0 at the money, and the put's payoff K - F is -0.0.
+        assert math.copysign(1.0, OptionSpec(0.0, 0.0, 1.0, 1.0, "put").intrinsic()) == 1.0
+        assert math.copysign(1.0, OptionSpec(7.0, 7.0, 1.0, 0.5, "put").intrinsic()) == 1.0
 
 
 class TestIsArray:

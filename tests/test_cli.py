@@ -27,6 +27,15 @@ def parse_csv(text):
     return list(csv.DictReader(text.splitlines()))
 
 
+def write_variant(tmp_path, base, overrides, name="variant.json"):
+    """The scenario file `base` with `overrides` applied, written to `tmp_path`."""
+    scenario = json.loads(base.read_text())
+    scenario.update(overrides)
+    path = tmp_path / name
+    path.write_text(json.dumps(scenario))
+    return path
+
+
 @pytest.fixture(scope="module")
 def scenario1(scenario_dir):
     return str(scenario_dir / "scenario1_smile.json")
@@ -145,6 +154,15 @@ class TestInvertCommand:
         assert result.returncode == 3
         assert json.loads(result.stderr)["error"] == "ArbitrageViolation"
 
+    def test_at_the_money_put_intrinsic_is_positive_zero(self, capsys):
+        argv = ["invert", "--forward", "0", "--strike", "0", "--expiry", "1", "--price", "0"]
+        assert cli.main([*argv, "--put"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            '{"detail": "price 0.0 does not exceed intrinsic value 0.0 (F=0.0, K=0.0, put)", '
+            '"error": "ArbitrageViolation"}\n',
+        )
+
 
 class TestSmileCommands:
     def test_scenario1_grid_shape(self, scenario1):
@@ -224,6 +242,71 @@ class TestSmileCommands:
         payload = json.loads(result.stderr)
         assert payload["error"] == "ZeroVega"
         assert "no vega at reference vol 0.5" in payload["detail"]
+
+    def test_vv_rows_equal_the_grid(self, tmp_path, scenario_dir, capsys):
+        # No golden hash covers vv-first or vv-second rows: each printed row
+        # is the vv_smile_grid point at that strike, formatted by the CLI.
+        path = write_variant(
+            tmp_path,
+            scenario_dir / "scenario1_smile.json",
+            {"methods": ["vv-exact", "vv-first", "vv-second"], "reference_vols": [45.0, 55.0]},
+        )
+        assert cli.main(["vv-smile", str(path)]) == 0
+        scenario = cli.load_scenario(str(path))
+        expected = [cli.SMILE_HEADER] + [
+            ",".join((cli._fmt(p.strike), cli._fmt(p.vol), method, cli._fmt(ref), p.status))
+            for method in scenario.methods
+            for ref in scenario.reference_vols
+            for p in vanna_volga.vv_smile_grid(
+                scenario.pivots.with_reference(ref), scenario.strikes(), method
+            ).points
+        ]
+        assert len(expected) == 1 + 3 * 2 * 61
+        assert capsys.readouterr() == ("\n".join(expected) + "\n", "")
+
+    @pytest.mark.parametrize(
+        "base, overrides, payload",
+        [
+            (
+                "scenario2_frown.json",
+                {
+                    "pivots": [
+                        {"strike": -50.0, "vol": 45.0},
+                        {"strike": 0.0, "vol": 50.0},
+                        {"strike": 50.0, "vol": 45.0},
+                    ],
+                    "reference_vols": [60.0],
+                    "grid": {"min": -400.0, "max": 400.0, "step": 5.0},
+                    "methods": ["vv-second"],
+                },
+                '{"detail": "second-order vol undefined at strike -400.0: square-root '
+                'argument -1311955.5555555557 is negative", "error": "NegativeDiscriminant"}',
+            ),
+            (
+                "scenario1_smile.json",
+                {"reference_vols": [0.5], "methods": ["vv-first"]},
+                '{"detail": "pivot -50.0 has no vega at reference vol 0.5", "error": "ZeroVega"}',
+            ),
+            (
+                "scenario1_smile.json",
+                {"reference_vols": [0.5], "methods": ["vv-second"]},
+                '{"detail": "pivot -50.0 has no vega at reference vol 0.5", "error": "ZeroVega"}',
+            ),
+            # Pivot d = 38.2: its vega is subnormal, and a hedge weight overflows.
+            (
+                "scenario1_smile.json",
+                {"reference_vols": [1.31]},
+                '{"detail": "pivot -50.0 has no vega at reference vol 1.31", "error": "ZeroVega"}',
+            ),
+        ],
+        ids=["negative_discriminant", "no_vega_first", "no_vega_second", "subnormal_vega"],
+    )
+    def test_numerical_failure_payload(
+        self, base, overrides, payload, tmp_path, scenario_dir, capsys
+    ):
+        path = write_variant(tmp_path, scenario_dir / base, overrides)
+        assert cli.main(["vv-smile", str(path)]) == 3
+        assert capsys.readouterr() == ("", payload + "\n")
 
     def test_flat_pivots_produce_flat_grid(self, tmp_path):
         scenario = tmp_path / "flat.json"
@@ -656,11 +739,7 @@ def golden_argv(command, scenario_dir, tmp_path):
     if words[0] in SCENARIO_COMMANDS:
         if words[1] in SCENARIO_VARIANTS:
             base, overrides = SCENARIO_VARIANTS[words[1]]
-            scenario = json.loads((scenario_dir / base).read_text())
-            scenario.update(overrides)
-            path = tmp_path / words[1]
-            path.write_text(json.dumps(scenario))
-            words[1] = str(path)
+            words[1] = str(write_variant(tmp_path, scenario_dir / base, overrides, words[1]))
         else:
             words[1] = str(scenario_dir / words[1])
     return [str(tmp_path / w) if w == "SIDECAR" else w for w in words]
@@ -680,11 +759,11 @@ def test_golden_output(command, scenario_dir, tmp_path):
     assert output_hash(result, sidecar_bytes) == GOLDEN_HASHES[command]
 
 
-# The commands that build no array: they run, and print their golden bytes,
+# Every command but density: they run, and print their golden bytes,
 # without numpy.
 SCALAR_COMMANDS = (
     list(OPTION_COMMANDS)
-    + [f"{c} {s}" for c in ("sabr-fit", "sabr-smile") for s in SCENARIO_NAMES]
+    + [f"{c} {s}" for c in ("vv-smile", "sabr-smile", "compare", "sabr-fit") for s in SCENARIO_NAMES]
     + ["vv-fit scenario1_smile.json"]
 )
 

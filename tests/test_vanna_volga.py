@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -111,6 +112,20 @@ class TestWeights:
         # The approximations divide by no vega: they still return.
         assert vv_smile_first_order(dead, 10.0).hex() == "0x1.effffffffffffp+4"
         assert vv_smile_second_order(dead, 10.0).hex() == "0x1.acd80d3481ce6p+5"
+
+    def test_subnormal_pivot_vega_raises_zero_vega(self):
+        # At reference vol 1.31 the pivot at -50 sits at d = 38.2: its vega is
+        # subnormal, not 0, and a hedge weight overflows. Arrays raise before
+        # any division, so no RuntimeWarning (an error under this suite) shows.
+        p = PivotSet(0.0, 1.0, (-50.0, 0.0, 50.0), (51.0, 50.0, 52.0), 1.0, 1.31)
+        assert 0.0 < norm_pdf(50.0 / 1.31) < sys.float_info.min
+        message = r"^pivot -50\.0 has no vega at reference vol 1\.31$"
+        for fn in (vv_weights, verify_risk_elimination, vv_price, vv_smile_exact):
+            with pytest.raises(ZeroVega, match=message):
+                fn(p, 10.0)
+        for method in ("vv-exact", "vv-first", "vv-second"):
+            with pytest.raises(ZeroVega, match=message):
+                vv_smile_grid(p, np.linspace(-150.0, 150.0, 61), method)
 
 
 class TestRiskElimination:
