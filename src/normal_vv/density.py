@@ -73,7 +73,8 @@ def density_from_prices(
     price, or None where it has no answer. It is called 3N times for N
     grid points: at every x in grid order, then at every x + delta, then
     at every x - delta; so it should hoist work that no strike changes,
-    as `vv_price` does by keeping its pivot legs. A None is stored as NaN,
+    as `vv_price` does: a `PivotSet` keeps its pivot legs and strike
+    geometry, so a call costs about 850 ns. A None is stored as NaN,
     so a None at x or x +/- delta leaves a NaN gap at x.
     The grid must be uniformly spaced and increasing, and `delta` finite
     and large enough that x + delta and x - delta differ from every x.

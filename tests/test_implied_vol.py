@@ -10,7 +10,7 @@ from normal_vv import (
     bachelier_price,
     implied_normal_vol,
 )
-from normal_vv.implied_vol import _implied_call_vols
+from normal_vv.implied_vol import _implied_call_vols, _log
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -161,6 +161,33 @@ def test_array_inverter_matches_scalar(F, T, df, sigma):
         else:
             assert vol == expected, (k, price)
     assert rejected - at_intrinsic == 18
+
+
+@pytest.mark.parametrize(
+    "price, F, K, T, df",
+    [
+        (15.344731793163824, 0.0, 10.0, 1.0, 1.0),  # OTM call, seed from log1p
+        (19.947114020071634, 0.0, 0.0, 1.0, 1.0),  # at the money
+        (31.0, 0.0, -20.0, 2.0, 0.9),  # in the money, discounted
+        (1e-200, -5.0, 400.0, 1.0, 1.0),  # far out of the money
+    ],
+)
+def test_array_inverter_on_0d_arrays(price, F, K, T, df):
+    # A ufunc from np.frompyfunc returns a Python float for a 0-d input;
+    # the array branches must still give an array equal to the float result.
+    vol = _implied_call_vols(np.array(price), F, np.array(K), T, df)
+    assert isinstance(vol, np.ndarray) and vol.ndim == 0
+    assert float(vol).hex() == implied_normal_vol(price, spec(F, K, T, df)).hex()
+
+
+def test_array_inverter_on_a_0d_rejected_quote():
+    vol = _implied_call_vols(np.array(5.0), 0.0, np.array(-10.0), 1.0, 1.0)
+    assert vol.ndim == 0 and math.isnan(vol)
+
+
+def test_log_on_0d_arrays():
+    assert float(_log(np.array(2.0))).hex() == math.log(2.0).hex()
+    assert math.isnan(_log(np.array(-1.0)))
 
 
 def test_otm_round_trip_with_discounting_to_the_underflow_edge():

@@ -27,7 +27,7 @@ from normal_vv import (
     vv_weights,
 )
 from normal_vv.bachelier import _call_price_pdf, norm_pdf
-from normal_vv.vanna_volga import _interp_weights, _pivot_legs
+from normal_vv.vanna_volga import _pivot_legs
 
 STRIKES = (-50.0, 0.0, 50.0)
 
@@ -562,11 +562,20 @@ class TestDefaults:
             PivotSet(0.0, 1.0, strikes, (51.0, 50.0, 52.0))
 
 
+def interp_weights_oracle(strikes, k):
+    """The interpolation weights y_i written out from the strikes alone."""
+    k1, k2, k3 = strikes
+    y1 = (k2 - k) * (k3 - k) / ((k2 - k1) * (k3 - k1))
+    y2 = (k1 - k) * (k3 - k) / ((k1 - k2) * (k3 - k2))
+    y3 = (k1 - k) * (k2 - k) / ((k1 - k3) * (k2 - k3))
+    return (y1, y2, y3)
+
+
 def fresh_price(p, k):
     """`vv_price` written out with its pivot legs computed anew."""
     stddev = p.ref_vol * math.sqrt(p.expiry)
     price, vega0 = _call_price_pdf(p.forward - k, stddev, p.discount)
-    for y_i, (vega_i, gap_i) in zip(_interp_weights(p.strikes, k), _pivot_legs(p)):
+    for y_i, (vega_i, gap_i) in zip(interp_weights_oracle(p.strikes, k), _pivot_legs(p)):
         price += y_i * vega0 / vega_i * gap_i
     return price
 
@@ -575,13 +584,62 @@ def fresh_hedge(p, k):
     """`vv_weights(p, k).hedge` with the pivot vegas formed from moneyness."""
     stddev = p.ref_vol * math.sqrt(p.expiry)
     vega0 = norm_pdf((p.forward - k) / stddev)
-    y = _interp_weights(p.strikes, k)
+    y = interp_weights_oracle(p.strikes, k)
     return tuple(y_i * vega0 / norm_pdf((p.forward - k_i) / stddev) for y_i, k_i in zip(y, p.strikes))
 
 
+def fresh_first_order(p, k):
+    """`vv_smile_first_order` written out."""
+    return sum(y_i * v_i for y_i, v_i in zip(interp_weights_oracle(p.strikes, k), p.vols))
+
+
+def fresh_second_order(p, k):
+    """`vv_smile_second_order` on a float, written out."""
+    sigma = p.ref_vol
+    stddev = sigma * math.sqrt(p.expiry)
+    y = interp_weights_oracle(p.strikes, k)
+    d0 = (p.forward - k) / stddev
+    d = tuple((p.forward - k_i) / stddev for k_i in p.strikes)
+    first_order = sum(y_i * v_i for y_i, v_i in zip(y, p.vols))
+    q_term = sum(y_i * d_i * d_i * (v_i - sigma) ** 2 for y_i, d_i, v_i in zip(y, d, p.vols))
+    correction = 2.0 * sigma * (first_order - sigma) + q_term
+    discriminant = sigma * sigma + d0 * d0 * correction
+    if discriminant < 0.0:
+        raise NegativeDiscriminant(k, discriminant)
+    return sigma + correction / (sigma + math.sqrt(discriminant))
+
+
+def memo_draws(seed=15, sets=500, per_set=17):
+    """Random pivot sets, each with `per_set` strikes out to |d| = 3 or 30
+    at the reference vol and its three pivot strikes; forwards of either
+    sign, and every other set discounted."""
+    rng = np.random.default_rng(seed)
+    for i in range(sets):
+        p, _ = random_pivot_draw(rng)
+        if i % 2:
+            p = dataclasses.replace(p, discount=rng.uniform(0.3, 1.0))
+        scale = p.ref_vol * math.sqrt(p.expiry)
+        reach = 3.0 if i % 4 < 2 else 30.0
+        strikes = [p.forward + rng.uniform(-reach, reach) * scale for _ in range(per_set)]
+        yield p, strikes + list(p.strikes)
+
+
+def test_memo_draws_reach_the_edges():
+    # Guards the bit-identity tests below against a narrow sample.
+    draws = list(memo_draws())
+    assert sum(len(strikes) for _, strikes in draws) >= 10_000
+    assert any(p.forward < 0.0 for p, _ in draws)
+    assert any(p.discount < 1.0 for p, _ in draws) and any(p.discount == 1.0 for p, _ in draws)
+    reach = max(
+        abs(p.forward - k) / (p.ref_vol * math.sqrt(p.expiry)) for p, ks in draws for k in ks
+    )
+    assert 29.0 < reach <= 30.0
+
+
 class TestPivotLegMemo:
-    """A `PivotSet` keeps its strike-independent pivot legs after the first
-    price. The memo must save kernel calls and change no bit."""
+    """A `PivotSet` keeps the strike-independent terms of `vv_price` (pivot
+    legs, interpolation denominators) after the first price. The memo must
+    save kernel calls and change no bit."""
 
     def test_kernel_calls(self, monkeypatch):
         calls = []
@@ -610,20 +668,71 @@ class TestPivotLegMemo:
             assert len(calls) > before  # a failure is raised anew, never stored
 
     def test_prices_and_weights_match_fresh_legs(self):
-        rng = np.random.default_rng(15)
         pairs = 0
-        for _ in range(250):
-            p, _ = random_pivot_draw(rng)
-            scale = p.ref_vol * math.sqrt(p.expiry)
-            strikes = [p.forward + rng.uniform(-9.0, 9.0) * scale for _ in range(8)]
+        for p, strikes in memo_draws():
             from_array = vv_price(p, np.array(strikes)).tolist()
             for k, element in zip(strikes, from_array):
                 price = vv_price(p, k)
                 assert price.hex() == fresh_price(p, k).hex() == element.hex()
-                hedge = [w.hex() for w in vv_weights(p, k).hedge]
-                assert hedge == [w.hex() for w in fresh_hedge(p, k)]
+                weights = vv_weights(p, k)
+                assert [w.hex() for w in weights.hedge] == [w.hex() for w in fresh_hedge(p, k)]
+                assert [y.hex() for y in weights.interp] == [
+                    y.hex() for y in interp_weights_oracle(p.strikes, k)
+                ]
                 pairs += 1
-        assert pairs >= 2000
+        assert pairs >= 10_000
+
+    def test_smiles_match_written_out_formulas(self):
+        negative = 0
+        for p, strikes in memo_draws():
+            first = vv_smile_first_order(p, np.array(strikes)).tolist()
+            expected = [fresh_first_order(p, k).hex() for k in strikes]
+            assert [vv_smile_first_order(p, k).hex() for k in strikes] == expected
+            assert [v.hex() for v in first] == expected
+            expected, bad = [], None
+            for k in strikes:
+                try:
+                    vol = fresh_second_order(p, k)
+                except NegativeDiscriminant as error:
+                    with pytest.raises(NegativeDiscriminant) as raised:
+                        vv_smile_second_order(p, k)
+                    assert raised.value.discriminant.hex() == error.discriminant.hex()
+                    bad = bad or error
+                    negative += 1
+                    continue
+                assert vv_smile_second_order(p, k).hex() == vol.hex()
+                expected.append(vol.hex())
+            if bad is None:
+                second = vv_smile_second_order(p, np.array(strikes)).tolist()
+                assert [v.hex() for v in second] == expected
+            else:  # an array raises at its first bad strike
+                with pytest.raises(NegativeDiscriminant) as raised:
+                    vv_smile_second_order(p, np.array(strikes))
+                assert raised.value.strike == bad.strike
+                assert raised.value.discriminant.hex() == bad.discriminant.hex()
+        assert negative > 0  # the failure path is exercised
+
+    def test_smiles_never_raise_zero_vega(self):
+        # Neither smile needs a pivot vega: on this set, whose pivot at -50
+        # has none, they return before and after `vv_price` has raised.
+        dead = PivotSet(0.0, 1.0, (-50.0, 0.0, 50.0), (40.0, 30.0, 45.0), 1.0, 0.5)
+        strikes = [-50.0, -20.0, 0.0, 10.0, 35.0, 50.0]
+        expected = [fresh_first_order(dead, k).hex() for k in strikes]
+        expected += [fresh_second_order(dead, k).hex() for k in strikes]
+
+        def smiles():
+            values = []
+            for smile in (vv_smile_first_order, vv_smile_second_order):
+                scalar = [smile(dead, k).hex() for k in strikes]
+                assert [v.hex() for v in smile(dead, np.array(strikes)).tolist()] == scalar
+                values += scalar
+            return values
+
+        assert smiles() == expected
+        for fn in (vv_price, vv_weights):
+            with pytest.raises(ZeroVega):
+                fn(dead, 10.0)
+        assert smiles() == expected
 
     def test_density_matches_fresh_second_difference(self):
         delta = 0.1
