@@ -7,7 +7,6 @@ Negative forwards and strikes are legal; negative vols are not.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -40,29 +39,32 @@ def _is_array(x) -> bool:
     return np is not None and isinstance(x, np.ndarray)
 
 
-@functools.cache
-def _per_element(fn):
-    """`fn` as a ufunc calling it on each element of an array; numpy is
-    imported on the first array call, not with the package."""
+def _per_element(fn, a):
+    """`fn` called on each element of the array `a`: a float array of
+    `a`'s shape. numpy is imported on the first array call, not with the
+    package."""
     import numpy as np
-    return np.frompyfunc(fn, 1, 1)
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def _call_price_pdf(fwd_minus_strike, stddev, discount: float):
     """Call price and phi(d) on floats or arrays: the one place a Bachelier
-    price is formed. Arrays call libm per element, as numpy's own exp and
-    erfc round differently on a few percent of inputs, so an array element
-    equals the float result bit for bit."""
+    price is formed. A scalar takes `norm_pdf` and `norm_cdf` written out,
+    with the same operations, as it is the per-strike hot path. Arrays call
+    libm per element, as numpy's own exp and erfc round differently on a
+    few percent of inputs, so an array element equals the float result bit
+    for bit."""
     d = fwd_minus_strike / stddev
-    if _is_array(d):
-        pdf = _per_element(math.exp)(-0.5 * d * d).astype(float) / _SQRT_2PI
-        cdf = 0.5 * _per_element(math.erfc)(-d * _INV_SQRT_2).astype(float)
+    if isinstance(d, float) or not _is_array(d):
+        pdf = math.exp(-0.5 * d * d) / _SQRT_2PI
+        cdf = 0.5 * math.erfc(-d * _INV_SQRT_2)
     else:
-        pdf, cdf = norm_pdf(d), norm_cdf(d)
+        pdf = _per_element(math.exp, -0.5 * d * d) / _SQRT_2PI
+        cdf = 0.5 * _per_element(math.erfc, -d * _INV_SQRT_2)
     return discount * (fwd_minus_strike * cdf + stddev * pdf), pdf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OptionSpec:
     """A European option quoted on a forward.
 
@@ -78,17 +80,26 @@ class OptionSpec:
     discount: float = 1.0
     kind: str = "call"
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.forward):
-            raise ValueError(f"forward must be finite, got {self.forward}")
-        if not math.isfinite(self.strike):
-            raise ValueError(f"strike must be finite, got {self.strike}")
-        if not 0.0 < self.expiry < math.inf:
-            raise ValueError(f"expiry must be positive and finite, got {self.expiry}")
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError(f"discount factor must be in (0, 1], got {self.discount}")
-        if self.kind not in ("call", "put"):
-            raise ValueError(f"kind must be 'call' or 'put', got {self.kind!r}")
+    def __init__(self, forward, strike, expiry, discount=1.0, kind="call") -> None:
+        # Written by hand, as density prices build one per strike: the fields
+        # go straight into the instance __dict__, where the generated frozen
+        # __init__ calls object.__setattr__ once per field.
+        if not math.isfinite(forward):
+            raise ValueError(f"forward must be finite, got {forward}")
+        if not math.isfinite(strike):
+            raise ValueError(f"strike must be finite, got {strike}")
+        if not 0.0 < expiry < math.inf:
+            raise ValueError(f"expiry must be positive and finite, got {expiry}")
+        if not 0.0 < discount <= 1.0:
+            raise ValueError(f"discount factor must be in (0, 1], got {discount}")
+        if kind not in ("call", "put"):
+            raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
+        fields = self.__dict__
+        fields["forward"] = forward
+        fields["strike"] = strike
+        fields["expiry"] = expiry
+        fields["discount"] = discount
+        fields["kind"] = kind
 
     @property
     def is_call(self) -> bool:
@@ -131,15 +142,15 @@ def bachelier_price(spec: OptionSpec, sigma: float) -> float:
     for small out-of-the-money prices instead of subtracting two large
     numbers.
     """
-    _require_positive_vol(sigma)
-    return _call_price_pdf(spec._payoff, sigma * math.sqrt(spec.expiry), spec.discount)[0]
+    return _call_price_pdf(spec._payoff, _stddev(sigma, spec.expiry), spec.discount)[0]
 
 
 def bachelier_greeks(spec: OptionSpec, sigma: float) -> GreekSet:
     """Analytic price and Greeks; second-order Greeks expressed via vega."""
-    _require_positive_vol(sigma)
+    stddev = _stddev(sigma, spec.expiry)
+    if sigma * spec.expiry == 0.0:  # gamma divides by it
+        raise ValueError(f"volatility {sigma} times expiry {spec.expiry} underflows to 0")
     sqrt_t = math.sqrt(spec.expiry)
-    stddev = sigma * sqrt_t
     payoff = spec._payoff
     price, pdf = _call_price_pdf(payoff, stddev, spec.discount)
     delta = spec.discount * norm_cdf(payoff / stddev)
@@ -156,9 +167,16 @@ def bachelier_greeks(spec: OptionSpec, sigma: float) -> GreekSet:
     )
 
 
-def _require_positive_vol(sigma: float) -> None:
+def _stddev(sigma: float, expiry: float) -> float:
+    """sigma * sqrt(expiry), checked here rather than in `_call_price_pdf`,
+    so the per-strike kernel pays for no check."""
     # sigma = 0 is rejected rather than mapped to intrinsic value: every
     # downstream formula divides by sigma, and callers wanting intrinsic
-    # can compute it directly.
+    # can compute it directly. For the same reason so is a product that
+    # underflows to 0.
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"volatility must be positive and finite, got {sigma}")
+    stddev = sigma * math.sqrt(expiry)
+    if stddev == 0.0:
+        raise ValueError(f"volatility {sigma} times sqrt(expiry {expiry}) underflows to 0")
+    return stddev

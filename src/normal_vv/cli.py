@@ -413,7 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except (
-        ArbitrageViolation, NoRoot, CalibrationFailure, NegativeDiscriminant, ZeroVega
+        ArbitrageViolation, NoRoot, CalibrationFailure, NegativeDiscriminant, ZeroVega,
+        OverflowError,
     ) as exc:
         _emit_json({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
         return 3

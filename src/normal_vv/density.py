@@ -74,7 +74,8 @@ def density_from_prices(
     grid points: at every x in grid order, then at every x + delta, then
     at every x - delta; so it should hoist work that no strike changes,
     as `vv_price` does: a `PivotSet` keeps its pivot legs and strike
-    geometry, so a call costs about 850 ns. A None is stored as NaN,
+    geometry, so a call costs about as much as three bare Bachelier kernel
+    calls, not the seven prices it would form afresh. A None is stored as NaN,
     so a None at x or x +/- delta leaves a NaN gap at x.
     The grid must be uniformly spaced and increasing, and `delta` finite
     and large enough that x + delta and x - delta differ from every x.

@@ -89,7 +89,7 @@ def _log(x):
     """math.log on a float or per element of an array; NaN where x <= 0."""
     if _is_array(x):
         import numpy as np
-        return np.asarray(_per_element(math.log)(np.where(x > 0.0, x, math.nan)), dtype=float)
+        return _per_element(math.log, np.where(x > 0.0, x, math.nan))
     return math.log(x) if x > 0.0 else math.nan
 
 
@@ -108,7 +108,7 @@ def _implied_vol(value, distance, atm, expiry: float):
     # rounded against |F - K| before the log.
     if _is_array(value):
         import numpy as np
-        log1p = np.asarray(_per_element(math.log1p)(distance / value), dtype=float)
+        log1p = _per_element(math.log1p, distance / value)
         eta = 2.0 * distance / (straddle * log1p)
         ckk = math.sqrt(math.pi / (2.0 * expiry)) * straddle * _rational_kernel(eta)
         sigma = np.where(atm, sigma, ckk)

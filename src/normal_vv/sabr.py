@@ -162,7 +162,9 @@ def sabr_fit(pivots) -> SABRFit:
     a positive level term 1 + (2 - 3 rho^2) nu^2 T / 24, so the fitted
     smile is positive at the money. Convex pivot triples are fitted
     essentially exactly; concave ones end at the best convex compromise
-    with visible residuals.
+    with visible residuals. Raises :class:`CalibrationFailure` when no
+    start reaches a finite cost, or when the pivot vols are so large that
+    the flat-smile objective overflows.
     """
     strikes = pivots.strikes
     vols = pivots.vols
@@ -202,8 +204,14 @@ def sabr_fit(pivots) -> SABRFit:
     # nu = 0 fits the best flat line, so no fit does worse; one that does
     # no better, to the rounding floor (1e-12 * atm)^2, has left rho free.
     mean = sum(vols) / 3.0
-    flat_objective = sum((v - mean) ** 2 for v in vols)
-    rho_identified = objective < flat_objective * (1.0 - 1e-9) - (1e-12 * vol_scale) ** 2
+    try:
+        flat_objective = sum((v - mean) ** 2 for v in vols)
+        floor = (1e-12 * vol_scale) ** 2
+    except OverflowError:
+        raise CalibrationFailure(
+            f"pivot vols {vols} are too large: the flat-smile objective overflows"
+        ) from None
+    rho_identified = objective < flat_objective * (1.0 - 1e-9) - floor
     return SABRFit(
         params=SABRParams(*params),
         residuals=tuple(residuals),

@@ -25,7 +25,6 @@ from normal_vv import (
     implied_normal_vol,
     sabr_fit,
     sabr_normal_vol,
-    verify_risk_elimination,
     vv_price,
     vv_smile_exact,
     vv_smile_first_order,
@@ -33,6 +32,7 @@ from normal_vv import (
     vv_smile_second_order,
     vv_weights,
 )
+from hedge_residuals import verify_risk_elimination
 
 STRIKES = (-50.0, 0.0, 50.0)
 SCENARIO_1 = PivotSet(0.0, 1.0, STRIKES, (51.0, 50.0, 52.0), 1.0)

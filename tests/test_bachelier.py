@@ -1,10 +1,21 @@
+import dataclasses
+import inspect
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 
-from normal_vv import OptionSpec, bachelier_greeks, bachelier_price, implied_normal_vol
-from normal_vv.bachelier import _is_array
+from normal_vv import (
+    OptionSpec,
+    bachelier_greeks,
+    bachelier_price,
+    implied_normal_vol,
+    norm_cdf,
+    norm_pdf,
+)
+from normal_vv.bachelier import _call_price_pdf, _is_array, _per_element
 from normal_vv.implied_vol import _rational_kernel
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -127,6 +138,20 @@ class TestPrice:
         with pytest.raises(ValueError, match="finite"):
             bachelier_greeks(spec(), sigma)
 
+    def test_rejects_vol_times_root_expiry_underflowing_to_zero(self):
+        # Every formula divides by sigma * sqrt(T); the kernel itself does
+        # not check it, so the entry points must.
+        s = spec(K=1.0, T=1e-305)
+        message = r"^volatility 1e-271 times sqrt\(expiry 1e-305\) underflows to 0$"
+        for fn in (bachelier_price, bachelier_greeks):
+            with pytest.raises(ValueError, match=message):
+                fn(s, 1e-271)
+        # The Greeks also divide by sigma * T, which can underflow alone.
+        s = spec(K=1.0, T=1e-40)
+        assert bachelier_price(s, 1e-300) == 0.0
+        with pytest.raises(ValueError, match=r"^volatility 1e-300 times expiry 1e-40 underflows"):
+            bachelier_greeks(s, 1e-300)
+
 
 class TestGreeks:
     def test_atm_values(self):
@@ -239,6 +264,130 @@ class TestOptionSpec:
         # F - K is +0.0 at the money, and the put's payoff K - F is -0.0.
         assert math.copysign(1.0, OptionSpec(0.0, 0.0, 1.0, 1.0, "put").intrinsic()) == 1.0
         assert math.copysign(1.0, OptionSpec(7.0, 7.0, 1.0, 0.5, "put").intrinsic()) == 1.0
+
+
+class TestOptionSpecDataclass:
+    """`OptionSpec` writes its own __init__; everything else a frozen
+    dataclass promises must hold as before."""
+
+    def test_public_behaviour(self):
+        s = OptionSpec(1.0, 2.0, 3.0)
+        assert (s.forward, s.strike, s.expiry, s.discount, s.kind) == (1.0, 2.0, 3.0, 1.0, "call")
+        assert OptionSpec(forward=1.0, strike=2.0, expiry=3.0) == s
+        assert OptionSpec(1.0, 2.0, 3.0, 1.0, "call") == s
+        assert OptionSpec(1.0, 2.0, 3.0, 1.0, "put") != s
+        assert hash(s) == hash(OptionSpec(1.0, 2.0, 3.0)) == hash((1.0, 2.0, 3.0, 1.0, "call"))
+        assert repr(s) == (
+            "OptionSpec(forward=1.0, strike=2.0, expiry=3.0, discount=1.0, kind='call')"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.strike = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del s.kind
+        put = dataclasses.replace(s, kind="put", discount=0.5)
+        assert put == OptionSpec(1.0, 2.0, 3.0, 0.5, "put") and s.kind == "call"
+        with pytest.raises(ValueError, match="kind"):
+            dataclasses.replace(s, kind="straddle")
+        record = {"forward": 1.0, "strike": 2.0, "expiry": 3.0, "discount": 1.0, "kind": "call"}
+        assert dataclasses.asdict(s) == record == vars(s)  # no state beyond the fields
+        fields = dataclasses.fields(OptionSpec)
+        assert [(f.name, f.default) for f in fields] == [
+            ("forward", dataclasses.MISSING), ("strike", dataclasses.MISSING),
+            ("expiry", dataclasses.MISSING), ("discount", 1.0), ("kind", "call"),
+        ]
+        # The hand-written __init__ takes the fields, in order, with their defaults.
+        parameters = list(inspect.signature(OptionSpec).parameters.values())
+        assert [(p.name, p.default) for p in parameters] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in fields
+        ]
+        assert pickle.loads(pickle.dumps(put)) == put
+        assert pickle.loads(pickle.dumps(put)).intrinsic() == put.intrinsic()
+
+    def test_messages_in_check_order(self):
+        # Each argument list fails every check from its own onwards, so only
+        # the first check's message may show.
+        cases = [
+            ((math.nan, math.inf, -1.0, 2.0, "x"), "forward must be finite, got nan"),
+            ((0.0, math.inf, -1.0, 2.0, "x"), "strike must be finite, got inf"),
+            ((0.0, 0.0, -1.0, 2.0, "x"), "expiry must be positive and finite, got -1.0"),
+            ((0.0, 0.0, 1.0, 2.0, "x"), "discount factor must be in (0, 1], got 2.0"),
+            ((0.0, 0.0, 1.0, 1.0, "x"), "kind must be 'call' or 'put', got 'x'"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                OptionSpec(*args)
+
+
+class TestKernel:
+    """`_call_price_pdf` forms phi(d) and Phi(d) itself on a scalar; the
+    results must be those of `norm_pdf` and `norm_cdf`, bit for bit."""
+
+    @staticmethod
+    def oracle(x, s, df):
+        d = x / s
+        return df * (x * norm_cdf(d) + s * norm_pdf(d)), norm_pdf(d)
+
+    def test_scalar_matches_norm_functions_bit_for_bit(self):
+        rng = np.random.default_rng(2101)
+        n = 100_000
+        s = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        x = rng.uniform(-40.0, 40.0, n) * s * rng.choice([1.0, 1e-3, 1e-9], n)
+        df = rng.uniform(0.01, 1.0, n)
+        for xi, si, dfi in zip(x.tolist(), s.tolist(), df.tolist()):
+            price, pdf = _call_price_pdf(xi, si, dfi)
+            expected_price, expected_pdf = self.oracle(xi, si, dfi)
+            assert (price.hex(), pdf.hex()) == (expected_price.hex(), expected_pdf.hex())
+        # The array path agrees element by element.
+        price, pdf = _call_price_pdf(x, s, df)
+        for i in rng.choice(n, 1_000, replace=False).tolist():
+            expected_price, expected_pdf = self.oracle(x[i].item(), s[i].item(), df[i].item())
+            assert float(price[i]).hex() == expected_price.hex()
+            assert float(pdf[i]).hex() == expected_pdf.hex()
+
+    def test_float32_and_int_scalars(self):
+        x, s = np.float32(10.0), np.float32(50.0)
+        price, pdf = _call_price_pdf(x, s, 1.0)
+        expected_price, expected_pdf = self.oracle(x, s, 1.0)
+        assert type(price) is type(expected_price) is np.float32 and price == expected_price
+        assert type(pdf) is type(expected_pdf) is float and pdf == expected_pdf
+        price, pdf = _call_price_pdf(10, 50, 1)
+        assert (price, pdf) == self.oracle(10.0, 50.0, 1.0)
+        assert type(price) is float and type(pdf) is float
+        price, pdf = _call_price_pdf(np.int64(10), np.int64(50), 1)
+        assert (float(price), pdf) == self.oracle(10.0, 50.0, 1.0)
+
+    def test_0d_and_2d_arrays(self):
+        # numpy reduces arithmetic on 0-d arrays to scalars: the scalar path.
+        price, pdf = _call_price_pdf(np.array(10.0), np.array(50.0), 1.0)
+        assert (float(price), pdf) == self.oracle(10.0, 50.0, 1.0)
+        x = np.linspace(-300.0, 300.0, 12).reshape(3, 4)
+        price, pdf = _call_price_pdf(x, 50.0, 0.9)
+        assert price.shape == pdf.shape == (3, 4) and price.dtype == pdf.dtype == float
+        for i, xi in enumerate(x.ravel().tolist()):
+            assert (price.ravel()[i], pdf.ravel()[i]) == self.oracle(xi, 50.0, 0.9)
+
+
+class TestPerElement:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([0.5, math.nan, -3.0, 0.0, math.inf, 1e-300]),
+            np.array(0.25),
+            np.array(math.nan),
+            np.float64(2.0),
+            np.linspace(-5.0, 5.0, 12).reshape(4, 3),
+            np.array([[math.nan, 1.0], [2.0, -math.inf]]),
+            np.array([]),
+        ],
+    )
+    @pytest.mark.parametrize("fn", [math.exp, math.erfc])
+    def test_equals_frompyfunc(self, fn, a):
+        result = _per_element(fn, a)
+        expected = np.asarray(np.frompyfunc(fn, 1, 1)(a), dtype=float)
+        assert isinstance(result, np.ndarray) and result.dtype == float
+        assert result.shape == expected.shape
+        assert np.array_equal(result, expected, equal_nan=True)
 
 
 class TestIsArray:

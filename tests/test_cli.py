@@ -115,6 +115,14 @@ class TestPriceCommand:
         assert outputs[0] == outputs[1] and outputs[0].out
 
 
+    def test_vol_times_root_expiry_underflow_is_usage_error(self, capsys):
+        argv = ["price", "--forward", "0", "--strike", "1", "--expiry", "1e-305", "--vol", "1e-271"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "invalid input: volatility 1e-271 times sqrt(expiry 1e-305) underflows to 0\n"
+        )
+
+
 class TestInvertCommand:
     def test_round_trips_price_output(self):
         price = json.loads(
@@ -298,8 +306,26 @@ class TestSmileCommands:
                 {"reference_vols": [1.31]},
                 '{"detail": "pivot -50.0 has no vega at reference vol 1.31", "error": "ZeroVega"}',
             ),
+            # (v - sigma)^2 of the first pivot overflows a double.
+            (
+                "scenario1_smile.json",
+                {
+                    "pivots": [
+                        {"strike": -50.0, "vol": 1e238},
+                        {"strike": 0.0, "vol": 50.0},
+                        {"strike": 50.0, "vol": 52.0},
+                    ],
+                    "reference_vols": [50.0],
+                    "methods": ["vv-second"],
+                },
+                '{"detail": "a pivot vol in (1e+238, 50.0, 52.0) lies so far from reference '
+                'vol 50.0 that its squared gap overflows", "error": "OverflowError"}',
+            ),
         ],
-        ids=["negative_discriminant", "no_vega_first", "no_vega_second", "subnormal_vega"],
+        ids=[
+            "negative_discriminant", "no_vega_first", "no_vega_second", "subnormal_vega",
+            "squared_gap_overflow",
+        ],
     )
     def test_numerical_failure_payload(
         self, base, overrides, payload, tmp_path, scenario_dir, capsys
@@ -422,6 +448,20 @@ class TestFitCommands:
         result = run_cli("vv-fit", str(path))
         assert result.returncode == 3
         assert json.loads(result.stderr)["error"] == "NoRoot"
+
+    @pytest.mark.parametrize("command", ["sabr-fit", "sabr-smile"])
+    def test_sabr_fit_overflowing_vols_is_numerical_failure(
+        self, command, tmp_path, scenario_dir, capsys
+    ):
+        pivots = [{"strike": k, "vol": 1e300} for k in (-50.0, 0.0, 50.0)]
+        path = write_variant(tmp_path, scenario_dir / "scenario1_smile.json", {"pivots": pivots})
+        assert cli.main([command, str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {
+            "error": "CalibrationFailure",
+            "detail": "pivot vols (1e+300, 1e+300, 1e+300) are too large: "
+            "the flat-smile objective overflows",
+        }
 
     def test_sabr_fit_frown_reports_residuals(self, scenario2):
         result = run_cli("sabr-fit", scenario2)
@@ -576,6 +616,24 @@ class TestScenarioValidation:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr.startswith("scenario error:") and "must be finite" in result.stderr
+
+    @pytest.mark.parametrize("command", ["vv-smile", "density"])
+    @pytest.mark.parametrize(
+        "strikes, denominators",
+        [((0.0, 1e-300, 2e-300), "(0.0, -0.0, 0.0)"), ((-1e200, 0.0, 1e200), "(inf, -inf, inf)")],
+        ids=["underflow", "overflow"],
+    )
+    def test_degenerate_pivot_strikes_are_scenario_errors(
+        self, command, strikes, denominators, tmp_path, scenario_dir, capsys
+    ):
+        pivots = [{"strike": k, "vol": v} for k, v in zip(strikes, (51.0, 50.0, 52.0))]
+        path = write_variant(tmp_path, scenario_dir / "scenario3_density.json", {"pivots": pivots})
+        assert cli.main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"scenario error: pivot strikes {strikes} are too close together or too far "
+            f"apart: the interpolation denominators {denominators} must be normal floats\n"
+        )
 
     def test_unknown_method(self, tmp_path, scenario_dir):
         scenario = json.loads((scenario_dir / "scenario1_smile.json").read_text())
@@ -826,10 +884,10 @@ PUBLIC_NAMES = {
     # sabr
     "CalibrationFailure", "SABRFit", "SABRParams", "sabr_fit", "sabr_normal_vol",
     # vanna_volga
-    "FAILED_BELOW_INTRINSIC", "HedgeResiduals", "NegativeDiscriminant", "NoRoot", "PivotSet",
-    "SmileGrid", "SmilePoint", "VVWeights", "ZeroVega", "calibrate_reference_vol",
-    "verify_risk_elimination", "vv_price", "vv_smile_exact", "vv_smile_first_order",
-    "vv_smile_grid", "vv_smile_second_order", "vv_weights",
+    "FAILED_BELOW_INTRINSIC", "NegativeDiscriminant", "NoRoot", "PivotSet", "SmileGrid",
+    "SmilePoint", "VVWeights", "ZeroVega", "calibrate_reference_vol", "vv_price",
+    "vv_smile_exact", "vv_smile_first_order", "vv_smile_grid", "vv_smile_second_order",
+    "vv_weights",
 }
 
 

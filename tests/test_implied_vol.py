@@ -173,8 +173,8 @@ def test_array_inverter_matches_scalar(F, T, df, sigma):
     ],
 )
 def test_array_inverter_on_0d_arrays(price, F, K, T, df):
-    # A ufunc from np.frompyfunc returns a Python float for a 0-d input;
-    # the array branches must still give an array equal to the float result.
+    # numpy arithmetic turns a 0-d array into a numpy scalar on the way; the
+    # array branches must still give a 0-d array equal to the float result.
     vol = _implied_call_vols(np.array(price), F, np.array(K), T, df)
     assert isinstance(vol, np.ndarray) and vol.ndim == 0
     assert float(vol).hex() == implied_normal_vol(price, spec(F, K, T, df)).hex()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normal_vv import PivotSet, SABRParams, sabr_fit, sabr_normal_vol
+from normal_vv import CalibrationFailure, PivotSet, SABRParams, sabr_fit, sabr_normal_vol
 from normal_vv.cli import load_scenario
 from normal_vv.sabr import _GRADIENT_SERIES_CUTOFF, _sabr_vol
 
@@ -205,6 +205,13 @@ class TestFit:
         assert fit.max_abs_residual < 1e-8
         # a flat smile does not depend on rho
         assert fit.rho_identified is False
+
+    @pytest.mark.parametrize("vol", [1e250, 1e300])
+    def test_vols_whose_squares_overflow_fail_calibration(self, vol):
+        # The fit ends, but the flat-smile test squares 1e-12 * vol and overflows.
+        message = r"are too large: the flat-smile objective overflows$"
+        with pytest.raises(CalibrationFailure, match=message):
+            sabr_fit(pivot_set((vol, vol, vol)))
 
     def test_fit_is_deterministic(self):
         first = sabr_fit(pivot_set((51.0, 50.0, 52.0)))

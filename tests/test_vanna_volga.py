@@ -18,7 +18,6 @@ from normal_vv import (
     bachelier_price,
     calibrate_reference_vol,
     density_from_prices,
-    verify_risk_elimination,
     vv_price,
     vv_smile_exact,
     vv_smile_first_order,
@@ -28,6 +27,7 @@ from normal_vv import (
 )
 from normal_vv.bachelier import _call_price_pdf, norm_pdf
 from normal_vv.vanna_volga import _pivot_legs
+from hedge_residuals import verify_risk_elimination
 
 STRIKES = (-50.0, 0.0, 50.0)
 
@@ -212,6 +212,18 @@ class TestSecondOrder:
             second = vv_smile_second_order(p, k)
             exact = vv_smile_exact(p, k)
             assert second == pytest.approx(exact, abs=1e-9)
+
+    def test_squared_vol_gap_overflow_raises_overflow_error(self):
+        # (v_i - sigma)^2 overflows a double: a named error, on floats and arrays.
+        p = pivots(vols=(1e238, 50.0, 52.0), ref=50.0)
+        message = r"^a pivot vol in \(1e\+238, 50\.0, 52\.0\) lies so far from reference vol 50\.0 "
+        for k0 in (10.0, np.array([-10.0, 10.0])):
+            with pytest.raises(OverflowError, match=message):
+                vv_smile_second_order(p, k0)
+        with pytest.raises(OverflowError, match=message):
+            vv_smile_grid(p, [-10.0, 10.0], "vv-second")
+        # A gap whose square stays finite still gives a vol; at the pivot, its own.
+        assert vv_smile_second_order(pivots(vols=(1e150, 50.0, 52.0)), -50.0) == 1e150
 
     def test_negative_discriminant_reported(self):
         p = pivots(vols=(48.0, 50.0, 49.0), ref=60.0)
@@ -560,6 +572,25 @@ class TestDefaults:
     def test_rejects_nonfinite_strikes(self, strikes):
         with pytest.raises(ValueError, match="finite"):
             PivotSet(0.0, 1.0, strikes, (51.0, 50.0, 52.0))
+
+    def test_rejects_strikes_whose_denominators_underflow(self):
+        # (k2 - k1)(k3 - k1) and the other two products round to 0: every
+        # smile would divide by zero.
+        message = r"too close together or too far apart: the interpolation denominators "
+        with pytest.raises(ValueError, match=message + r"\(0\.0, -0\.0, 0\.0\)"):
+            PivotSet(0.0, 1.0, (0.0, 1e-300, 2e-300), (51.0, 50.0, 52.0))
+        # A subnormal denominator has lost its precision: rejected as well.
+        with pytest.raises(ValueError, match=message + r"\(2e-320, -1e-320, 2e-320\)"):
+            PivotSet(0.0, 1.0, (0.0, 1e-160, 2e-160), (51.0, 50.0, 52.0))
+
+    def test_rejects_strikes_whose_denominators_overflow(self):
+        # The products overflow to inf, and the first-order smile was NaN.
+        message = r"too far apart: the interpolation denominators \(inf, -inf, inf\)"
+        with pytest.raises(ValueError, match=message):
+            PivotSet(0.0, 1.0, (-1e200, 0.0, 1e200), (51.0, 50.0, 52.0))
+        # Pivots far apart, with products that stay finite, are still fine.
+        wide = PivotSet(0.0, 1.0, (-1e150, 0.0, 1e150), (51.0, 50.0, 52.0))
+        assert vv_smile_first_order(wide, 0.0) == 50.0
 
 
 def interp_weights_oracle(strikes, k):
