@@ -24,8 +24,9 @@ from .implied_vol import ArbitrageViolation, implied_normal_vol
 from .sabr import CalibrationFailure, sabr_fit, sabr_normal_vol
 from .vanna_volga import (
     FAILED_BELOW_INTRINSIC,
+    FAILED_NEGATIVE_VOL,
     STATUS_OK,
-    VV_METHODS,
+    VV_SMILES,
     NegativeDiscriminant,
     NoRoot,
     PivotSet,
@@ -33,18 +34,9 @@ from .vanna_volga import (
     calibrate_reference_vol,
     vv_price,
     vv_smile_exact,
-    vv_smile_first_order,
-    vv_smile_second_order,
 )
 
-# Each vanna-volga method's scalar smile. Rows are built per strike from these,
-# a few ms a curve, so the CLI never pays the ~120 ms numpy import.
-_VV_SMILES = {
-    "vv-exact": vv_smile_exact,
-    "vv-first": vv_smile_first_order,
-    "vv-second": vv_smile_second_order,
-}
-ALL_METHODS = VV_METHODS + ("sabr",)
+ALL_METHODS = (*VV_SMILES, "sabr")
 # The methods each smile command prints, given the scenario's vanna-volga
 # methods (vv-exact when it lists none).
 SMILE_COMMANDS = {
@@ -54,9 +46,6 @@ SMILE_COMMANDS = {
 }
 
 SMILE_HEADER = "strike,vol,method,reference_vol,status"
-# Status of a SABR row whose vol is not positive: the level term
-# 1 + (2 - 3 rho^2) nu^2 T / 24 turned negative.
-FAILED_NEGATIVE_VOL = "failed_negative_vol"
 DENSITY_HEADER = "x,density,method"
 
 
@@ -243,7 +232,7 @@ def cmd_invert(args) -> int:
 def cmd_smile(args) -> int:
     scenario = load_scenario(args.scenario)
     pivots, strikes = scenario.pivots, scenario.strikes()
-    vv_methods = [m for m in scenario.methods if m in VV_METHODS] or ["vv-exact"]
+    vv_methods = [m for m in scenario.methods if m in VV_SMILES] or ["vv-exact"]
     rows = [SMILE_HEADER]
     for method in SMILE_COMMANDS[args.command](vv_methods):
         # One (strike, vol, reference vol, status) per row: vanna-volga
@@ -256,7 +245,8 @@ def cmd_smile(args) -> int:
                 for k, vol in zip(strikes, vols)
             ]
         else:
-            smile = _VV_SMILES[method]
+            # Rows come per strike from the scalar smile: the CLI never imports numpy.
+            smile = VV_SMILES[method]
             points = []
             for ref in scenario.reference_vols:
                 curve = pivots.with_reference(ref)

@@ -34,9 +34,11 @@ __all__ = [
     "calibrate_reference_vol",
 ]
 
-VV_METHODS = ("vv-exact", "vv-first", "vv-second")
-FAILED_BELOW_INTRINSIC = "failed_below_intrinsic"
 STATUS_OK = "ok"
+FAILED_BELOW_INTRINSIC = "failed_below_intrinsic"
+# Status of a SABR row whose vol is not positive: the level term
+# 1 + (2 - 3 rho^2) nu^2 T / 24 turned negative.
+FAILED_NEGATIVE_VOL = "failed_negative_vol"
 
 
 class NegativeDiscriminant(ArithmeticError):
@@ -94,7 +96,10 @@ class PivotSet:
             raise ValueError(
                 f"pivot strikes must be finite and strictly increase, got {self.strikes}"
             )
-        denominators = _interp_geometry(self.strikes)[3:]
+        # The pivot strikes and the denominators of `_interp_weights`: the part of
+        # the y_i that no target strike changes, kept as `_memo_legs` keeps the rest.
+        k1, k2, k3 = self.strikes
+        denominators = ((k2 - k1) * (k3 - k1), (k1 - k2) * (k3 - k2), (k1 - k3) * (k2 - k3))
         if not all(sys.float_info.min <= abs(den) < math.inf for den in denominators):
             raise ValueError(
                 f"pivot strikes {self.strikes} are too close together or too far apart: "
@@ -106,6 +111,7 @@ class PivotSet:
             raise ValueError(
                 f"reference vol must be positive and finite, got {self.reference_vol}"
             )
+        self.__dict__["_geometry"] = (k1, k2, k3, *denominators)
 
     @property
     def ref_vol(self) -> float:
@@ -132,14 +138,6 @@ class VVWeights:
     interp: tuple[float, float, float]
     target_moneyness: float
     pivot_moneyness: tuple[float, float, float]
-
-
-def _interp_geometry(strikes: tuple[float, float, float]) -> tuple[float, ...]:
-    """The pivot strikes and the three denominators of `_interp_weights`:
-    the part of the y_i that no target strike changes. It cannot raise, so
-    the smiles that need no pivot vega form it too."""
-    k1, k2, k3 = strikes
-    return (k1, k2, k3, (k2 - k1) * (k3 - k1), (k1 - k2) * (k3 - k2), (k1 - k3) * (k2 - k3))
 
 
 def _interp_weights(geometry: tuple[float, ...], k0: float) -> tuple[float, float, float]:
@@ -172,7 +170,7 @@ def vv_smile_first_order(pivots: PivotSet, k0: float) -> float:
 
     Independent of the reference vol by construction.
     """
-    y = _interp_weights(_interp_geometry(pivots.strikes), k0)
+    y = _interp_weights(pivots._geometry, k0)
     return sum(y_i * v_i for y_i, v_i in zip(y, pivots.vols))
 
 
@@ -188,7 +186,7 @@ def vv_smile_second_order(pivots: PivotSet, k0):
     """
     sigma = pivots.ref_vol
     stddev = sigma * math.sqrt(pivots.expiry)
-    y = _interp_weights(_interp_geometry(pivots.strikes), k0)
+    y = _interp_weights(pivots._geometry, k0)
     d0 = (pivots.forward - k0) / stddev
     d = tuple((pivots.forward - k) / stddev for k in pivots.strikes)
     first_order = sum(y_i * v_i for y_i, v_i in zip(y, pivots.vols))
@@ -231,16 +229,16 @@ def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
 
 def _memo_legs(pivots: PivotSet) -> tuple:
     """Every term of `vv_price` that no strike changes: the forward,
-    sigma_ref*sqrt(T), the discount, `_interp_geometry` and `_pivot_legs`,
-    so a scalar price does only per-strike work (about a third less time a
-    call than with the geometry formed per call). Stored in the instance
+    sigma_ref*sqrt(T), the discount, the `PivotSet`'s strike geometry and
+    `_pivot_legs`, so a scalar price does only per-strike work (about a third
+    less time a call than with the geometry formed per call). Stored in the instance
     `__dict__` on the first price: no lock, as a racing thread computes
     and stores the same tuple. Field-based ==, hash and repr never see it,
     and a `ZeroVega` raises before anything is stored."""
     memo = pivots.__dict__.get("_legs")
     if memo is None:
         memo = (pivots.forward, pivots.ref_vol * math.sqrt(pivots.expiry), pivots.discount,
-                _interp_geometry(pivots.strikes), _pivot_legs(pivots))
+                pivots._geometry, _pivot_legs(pivots))
         pivots.__dict__["_legs"] = memo
     return memo
 
@@ -277,6 +275,13 @@ def vv_smile_exact(pivots: PivotSet, k0: float) -> float | None:
         return None
 
 
+VV_SMILES = {
+    "vv-exact": vv_smile_exact,
+    "vv-first": vv_smile_first_order,
+    "vv-second": vv_smile_second_order,
+}
+
+
 @dataclass(frozen=True)
 class SmilePoint:
     strike: float
@@ -301,24 +306,23 @@ class SmileGrid:
 def vv_smile_grid(pivots: PivotSet, strikes, method: str = "vv-exact") -> SmileGrid:
     """Evaluate one vanna-volga smile over `strikes`.
 
-    `method` is one of vv-exact, vv-first, vv-second. Every point also
-    carries the hedge-replication price. Exact-method points whose price
-    violates the intrinsic bound are marked failed and keep vol=None.
+    `method` is a key of `VV_SMILES`. Every point also carries the
+    hedge-replication price. Exact-method points whose price violates the
+    intrinsic bound are marked failed and keep vol=None.
     A non-finite strike raises `ValueError` before any strike is priced.
     """
     import numpy as np
-    if method not in VV_METHODS:
+    if method not in VV_SMILES:
         raise ValueError(f"unknown vanna-volga method {method!r}")
     k = np.fromiter(strikes, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError(f"strike must be finite, got {k[~np.isfinite(k)][0]}")
     prices = vv_price(pivots, k)
-    if method == "vv-exact":
+    if method == "vv-exact":  # inverts the prices above rather than pricing again
         exact = _implied_call_vols(prices, pivots.forward, k, pivots.expiry, pivots.discount)
         vols = [None if math.isnan(v) else v for v in exact.tolist()]
     else:
-        smile = vv_smile_first_order if method == "vv-first" else vv_smile_second_order
-        vols = smile(pivots, k).tolist()
+        vols = VV_SMILES[method](pivots, k).tolist()
     points = tuple(
         SmilePoint(k0, vol, price, FAILED_BELOW_INTRINSIC if vol is None else STATUS_OK)
         for k0, vol, price in zip(k.tolist(), vols, prices.tolist())
