@@ -197,9 +197,10 @@ def _fmt(value: float | None) -> str:
 
 def _round12(value):
     """`value` with every float in it, through lists, tuples and dicts,
-    rounded to 12 significant digits and -0.0 folded to 0.0."""
+    rounded to 12 significant digits, -0.0 folded to 0.0 and a non-finite
+    float made None, so the JSON is strict."""
     if isinstance(value, float):
-        return float(f"{value:.12g}") + 0.0
+        return float(f"{value:.12g}") + 0.0 if math.isfinite(value) else None
     if isinstance(value, dict):
         return {key: _round12(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -209,7 +210,7 @@ def _round12(value):
 
 def _emit_json(record: dict, file=None) -> None:
     """Print `record` as one sorted-key JSON line, floats at 12 digits."""
-    print(json.dumps(_round12(record), sort_keys=True), file=file)
+    print(json.dumps(_round12(record), sort_keys=True, allow_nan=False), file=file)
 
 
 def _spec_from_args(args) -> OptionSpec:
@@ -278,7 +279,7 @@ def cmd_vv_fit(args) -> int:
             "reference_vol": reference,
             "fourth_strike": k4,
             "fourth_vol": sigma4,
-            "residual": math.nan if achieved is None else achieved - sigma4,
+            "residual": achieved - sigma4,
         }
     )
     return 0

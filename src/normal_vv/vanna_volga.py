@@ -55,7 +55,8 @@ class NegativeDiscriminant(ArithmeticError):
 
 class ZeroVega(ZeroDivisionError):
     """A pivot's vega at the reference vol is 0 or subnormal (|d| above about
-    37.6): every hedge weight divides by it, and would overflow."""
+    37.6, or sigma_ref*sqrt(T) underflowed to 0): every hedge weight divides
+    by it, and would overflow."""
 
 
 class NoRoot(RuntimeError):
@@ -107,6 +108,10 @@ class PivotSet:
             )
         if any(not 0.0 < v < math.inf for v in self.vols):
             raise ValueError(f"pivot vols must be positive and finite, got {self.vols}")
+        if any(v * math.sqrt(self.expiry) == 0.0 for v in self.vols):
+            raise ValueError(
+                f"a pivot vol in {self.vols} times sqrt(expiry {self.expiry}) underflows to 0"
+            )
         if self.reference_vol is not None and not 0.0 < self.reference_vol < math.inf:
             raise ValueError(
                 f"reference vol must be positive and finite, got {self.reference_vol}"
@@ -216,10 +221,16 @@ def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
     pivot vol minus that at the reference vol: strike-independent terms of
     `vv_price`, so a `PivotSet` needs them once (`_memo_legs`)."""
     sigma, sqrt_t = pivots.ref_vol, math.sqrt(pivots.expiry)
+    stddev = sigma * sqrt_t
+    if stddev == 0.0:
+        raise ZeroVega(
+            f"no pivot has vega at reference vol {sigma}: "
+            f"it times sqrt(expiry {pivots.expiry}) underflows to 0"
+        )
     legs = []
     for strike, vol in zip(pivots.strikes, pivots.vols):
         payoff = pivots.forward - strike
-        ref_price, vega = _call_price_pdf(payoff, sigma * sqrt_t, pivots.discount)
+        ref_price, vega = _call_price_pdf(payoff, stddev, pivots.discount)
         if vega < sys.float_info.min:  # every hedge weight divides by it, in arrays too
             raise ZeroVega(f"pivot {strike} has no vega at reference vol {sigma}")
         price = _call_price_pdf(payoff, vol * sqrt_t, pivots.discount)[0]
@@ -230,11 +241,11 @@ def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
 def _memo_legs(pivots: PivotSet) -> tuple:
     """Every term of `vv_price` that no strike changes: the forward,
     sigma_ref*sqrt(T), the discount, the `PivotSet`'s strike geometry and
-    `_pivot_legs`, so a scalar price does only per-strike work (about a third
-    less time a call than with the geometry formed per call). Stored in the instance
-    `__dict__` on the first price: no lock, as a racing thread computes
-    and stores the same tuple. Field-based ==, hash and repr never see it,
-    and a `ZeroVega` raises before anything is stored."""
+    `_pivot_legs`, so a scalar price does only per-strike work (about a
+    third less time a call than with the geometry formed per call). Stored
+    in the instance `__dict__` on the first price: no lock, as a racing
+    thread computes and stores the same tuple. Field-based ==, hash and
+    repr never see it, and a `ZeroVega` raises before anything is stored."""
     memo = pivots.__dict__.get("_legs")
     if memo is None:
         memo = (pivots.forward, pivots.ref_vol * math.sqrt(pivots.expiry), pivots.discount,

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -25,6 +26,15 @@ def run_cli(*args, **kwargs):
 
 def parse_csv(text):
     return list(csv.DictReader(text.splitlines()))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text):
+    """`text` parsed as JSON, refusing the NaN and Infinity of Python's `json`."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def write_variant(tmp_path, base, overrides, name="variant.json"):
@@ -114,6 +124,12 @@ class TestPriceCommand:
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1] and outputs[0].out
 
+
+    def test_overflowing_price_prints_null(self, capsys):
+        argv = ["price", "--forward", "0", "--strike", "0", "--expiry", "1e152", "--vol", "1e242"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and strict_json(out)["price"] is None
 
     def test_vol_times_root_expiry_underflow_is_usage_error(self, capsys):
         argv = ["price", "--forward", "0", "--strike", "1", "--expiry", "1e-305", "--vol", "1e-271"]
@@ -251,26 +267,50 @@ class TestSmileCommands:
         assert payload["error"] == "ZeroVega"
         assert "no vega at reference vol 0.5" in payload["detail"]
 
-    def test_vv_rows_equal_the_grid(self, tmp_path, scenario_dir, capsys):
+    @pytest.mark.parametrize(
+        "name, ref, failures",
+        [
+            pytest.param(name, ref, failures, id=f"{name.split('_')[0]}-{ref:g}")
+            for name, ref, failures in [
+                *(("scenario1_smile.json", ref, {}) for ref in (40.0, 45.0, 50.0, 55.0, 60.0)),
+                ("scenario2_frown.json", 40.0, {}),
+                ("scenario2_frown.json", 50.0, {"vv-exact": 18, "vv-second": "NegativeDiscriminant"}),
+                ("scenario2_frown.json", 60.0, {"vv-exact": 22, "vv-second": "NegativeDiscriminant"}),
+                ("scenario3_density.json", 40.0, {}),
+                ("scenario4_density_bimodal.json", 30.0, {}),
+            ]
+        ],
+    )
+    def test_vv_rows_equal_the_grid(self, name, ref, failures, tmp_path, scenario_dir, capsys):
         # No golden hash covers vv-first or vv-second rows: each printed row
-        # is the vv_smile_grid point at that strike, formatted by the CLI.
-        path = write_variant(
-            tmp_path,
-            scenario_dir / "scenario1_smile.json",
-            {"methods": ["vv-exact", "vv-first", "vv-second"], "reference_vols": [45.0, 55.0]},
-        )
-        assert cli.main(["vv-smile", str(path)]) == 0
-        scenario = cli.load_scenario(str(path))
-        expected = [cli.SMILE_HEADER] + [
-            ",".join((cli._fmt(p.strike), cli._fmt(p.vol), method, cli._fmt(ref), p.status))
-            for method in scenario.methods
-            for ref in scenario.reference_vols
-            for p in vanna_volga.vv_smile_grid(
-                scenario.pivots.with_reference(ref), scenario.strikes(), method
-            ).points
-        ]
-        assert len(expected) == 1 + 3 * 2 * 61
-        assert capsys.readouterr() == ("\n".join(expected) + "\n", "")
+        # is the vv_smile_grid point at that strike, formatted by the CLI, with
+        # the grid's status. Where the grid raises, the CLI exits 3 with its
+        # message. `failures` counts the failed points, or names the error.
+        found = {}
+        for method in vanna_volga.VV_SMILES:
+            overrides = {"methods": [method], "reference_vols": [ref]}
+            path = write_variant(tmp_path, scenario_dir / name, overrides)
+            scenario = cli.load_scenario(str(path))
+            try:
+                points = vanna_volga.vv_smile_grid(
+                    scenario.pivots.with_reference(ref), scenario.strikes(), method
+                ).points
+            except vanna_volga.NegativeDiscriminant as error:
+                found[method] = type(error).__name__
+                assert cli.main(["vv-smile", str(path)]) == 3
+                payload = {"detail": str(error), "error": found[method]}
+                assert capsys.readouterr() == ("", json.dumps(payload, sort_keys=True) + "\n")
+                continue
+            expected = [cli.SMILE_HEADER] + [
+                ",".join((cli._fmt(p.strike), cli._fmt(p.vol), method, cli._fmt(ref), p.status))
+                for p in points
+            ]
+            assert cli.main(["vv-smile", str(path)]) == 0
+            assert capsys.readouterr() == ("\n".join(expected) + "\n", "")
+            failed = sum(p.status != vanna_volga.STATUS_OK for p in points)
+            if failed:
+                found[method] = failed
+        assert found == failures
 
     @pytest.mark.parametrize(
         "base, overrides, payload",
@@ -539,6 +579,14 @@ class TestDensityCommand:
         assert result.stderr.startswith("invalid input: cannot write diagnostics file")
         assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
+    def test_zero_integral_prints_null_mean(self, tmp_path, scenario_dir, capsys):
+        # Every vanna-volga price on this far grid is 0, so the mean is 0 / 0.
+        grid = {"min": 1e6, "max": 1e6 + 100.0, "step": 5.0}
+        path = write_variant(tmp_path, scenario_dir / "scenario1_smile.json", {"grid": grid})
+        assert cli.main(["density", str(path)]) == 0
+        diagnostics = strict_json(capsys.readouterr().err)["vv-exact"]
+        assert diagnostics["integral"] == 0.0 and diagnostics["mean"] is None
+
     def test_delta_whose_square_underflows_is_invalid_input(self, scenario_dir, tmp_path):
         scenario = json.loads((scenario_dir / "scenario3_density.json").read_text())
         scenario["density_delta"] = 1e-170
@@ -642,6 +690,69 @@ class TestScenarioValidation:
         path.write_text(json.dumps(scenario))
         result = run_cli("vv-smile", str(path))
         assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "command", ["vv-smile", "sabr-smile", "compare", "vv-fit", "sabr-fit", "density"]
+)
+def test_pivot_vol_times_root_expiry_underflow_is_scenario_error(
+    command, tmp_path, scenario_dir, capsys
+):
+    pivots = [{"strike": k, "vol": 1e-271} for k in (-50.0, 0.0, 50.0)]
+    overrides = {"expiry": 1e-305, "pivots": pivots}
+    path = write_variant(tmp_path, scenario_dir / "scenario1_smile.json", overrides)
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "scenario error: a pivot vol in (1e-271, 1e-271, 1e-271) "
+        "times sqrt(expiry 1e-305) underflows to 0\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (
+            command,
+            {
+                "error": "ZeroVega",
+                "detail": "no pivot has vega at reference vol 1e-271: "
+                "it times sqrt(expiry 1e-305) underflows to 0",
+            },
+        )
+        for command in ("vv-smile", "compare", "density")
+    ]
+    + [
+        # The expanded scan starts at 4e-172, whose product with sqrt(1e-305)
+        # underflows to 0: skipped as a failed smile, like any other point.
+        (
+            "vv-fit",
+            {
+                "error": "NoRoot",
+                "detail": "no reference vol in [4e-172, 2.5e-169] reprices the fourth quote "
+                "(K=100.0, vol=57.192981401127206); endpoint residuals smile-failed "
+                "and smile-failed",
+            },
+        ),
+    ],
+)
+def test_reference_vol_times_root_expiry_underflow_is_numerical_failure(
+    command, payload, tmp_path, scenario_dir, capsys
+):
+    # The pivot vols times sqrt(1e-305) are subnormal but not 0.
+    pivots = [{"strike": k, "vol": 1e-170} for k in (-50.0, 0.0, 50.0)]
+    overrides = {"expiry": 1e-305, "pivots": pivots, "reference_vols": [1e-271]}
+    path = write_variant(tmp_path, scenario_dir / "scenario1_smile.json", overrides)
+    assert cli.main([command, str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and strict_json(err) == payload
+
+
+def test_emit_json_is_strict(capsys):
+    cli._emit_json({"a": math.inf, "b": [math.nan, -math.inf, (-0.0, 1.0 / 3.0)], "c": 7})
+    assert capsys.readouterr().out == (
+        '{"a": null, "b": [null, null, [0.0, 0.333333333333]], "c": 7}\n'
+    )
 
 
 def test_bundled_scenarios_cover_reference_setups(scenario_dir):
@@ -889,6 +1000,22 @@ PUBLIC_NAMES = {
     "vv_smile_exact", "vv_smile_first_order", "vv_smile_grid", "vv_smile_second_order",
     "vv_weights",
 }
+
+
+def test_readme_names_every_status_and_method(scenario_dir):
+    # The README's smile-CSV paragraph names each status constant, and its
+    # scenario schema each method, so neither drifts from the code's tables.
+    readme = (scenario_dir.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Smile CSVs carry"))
+    statuses = {
+        value for name, value in vars(vanna_volga).items()
+        if name == "STATUS_OK" or name.startswith("FAILED_")
+    }
+    assert {"ok", "failed_below_intrinsic", "failed_negative_vol"} <= statuses
+    assert set(re.findall(r"`status=(\w+)`", paragraph)) == statuses
+    schema = next(line for line in readme.splitlines() if line.lstrip().startswith('"methods":'))
+    methods = [m.strip() for m in schema.split("//")[1].split("|")]
+    assert methods == [*vanna_volga.VV_SMILES, "sabr"]
 
 
 def test_public_surface():

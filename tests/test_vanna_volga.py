@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import sys
 from functools import partial
 
@@ -124,6 +125,21 @@ class TestWeights:
             with pytest.raises(ZeroVega, match=message):
                 fn(p, 10.0)
         for method in ("vv-exact", "vv-first", "vv-second"):
+            with pytest.raises(ZeroVega, match=message):
+                vv_smile_grid(p, np.linspace(-150.0, 150.0, 61), method)
+
+    def test_reference_stddev_underflow_raises_zero_vega(self):
+        # The pivot vols times sqrt(1e-305) are subnormal, not 0, so the set
+        # is valid; the reference vol 1e-271 times it underflows to 0.
+        p = PivotSet(0.0, 1e-305, STRIKES, (1e-170,) * 3, 1.0, reference_vol=1e-271)
+        message = (
+            r"^no pivot has vega at reference vol 1e-271: "
+            r"it times sqrt\(expiry 1e-305\) underflows to 0$"
+        )
+        for fn in (vv_weights, verify_risk_elimination, vv_price, vv_smile_exact):
+            with pytest.raises(ZeroVega, match=message):
+                fn(p, 10.0)
+        for method in vanna_volga.VV_SMILES:
             with pytest.raises(ZeroVega, match=message):
                 vv_smile_grid(p, np.linspace(-150.0, 150.0, 61), method)
 
@@ -462,6 +478,14 @@ class TestReferenceCalibration:
             calibrate_reference_vol(base, (100.0, 250.0))
         assert excinfo.value.bracket is not None
 
+    def test_scan_skips_reference_vols_whose_stddev_underflows(self):
+        # The expanded scan starts at 0.04 * 1e-170, whose product with
+        # sqrt(1e-305) underflows to 0; every scan point fails, none raises.
+        base = PivotSet(0.0, 1e-305, STRIKES, (1e-170,) * 3, 1.0)
+        assert 4e-172 * math.sqrt(1e-305) == 0.0
+        with pytest.raises(NoRoot, match=r"^no reference vol in \[4e-172, 2\.5e-169\]"):
+            calibrate_reference_vol(base, (100.0, 57.0))
+
     @pytest.mark.parametrize("planted", [300.0, 700.0])
     def test_scan_skips_pivots_without_vega(self, planted):
         # Only the expanded scan brackets these roots, and it starts at
@@ -582,6 +606,14 @@ class TestDefaults:
         # A subnormal denominator has lost its precision: rejected as well.
         with pytest.raises(ValueError, match=message + r"\(2e-320, -1e-320, 2e-320\)"):
             PivotSet(0.0, 1.0, (0.0, 1e-160, 2e-160), (51.0, 50.0, 52.0))
+
+    def test_rejects_pivot_vol_whose_stddev_underflows(self):
+        message = r"^a pivot vol in \(50\.0, 1e-271, 50\.0\) times sqrt\(expiry 1e-305\) "
+        with pytest.raises(ValueError, match=message):
+            PivotSet(0.0, 1e-305, STRIKES, (50.0, 1e-271, 50.0))
+        # A subnormal product is kept. So is a reference vol whose product
+        # underflows: the calibration scan builds such sets, and skips them.
+        PivotSet(0.0, 1e-305, STRIKES, (1e-170,) * 3, reference_vol=1e-271)
 
     def test_rejects_strikes_whose_denominators_overflow(self):
         # The products overflow to inf, and the first-order smile was NaN.
@@ -801,3 +833,16 @@ class TestPivotLegMemo:
         assert p == twin and twin == p
         assert (hash(p), repr(p), dataclasses.astuple(p)) == before
         assert p.with_reference(55.0) == pivots(ref=55.0)
+        # The stored geometry and memo travel with a pickle; `replace` builds
+        # a set that forms its own from its new fields.
+        wide = PivotSet(0.0, 1.0, (-80.0, 5.0, 60.0), (51.0, 50.0, 52.0), 1.0, 50.0)
+        for copy, fresh in (
+            (pickle.loads(pickle.dumps(p)), twin),
+            (dataclasses.replace(p, reference_vol=55.0), pivots(ref=55.0)),
+            (dataclasses.replace(p, strikes=(-80.0, 5.0, 60.0)), wide),
+        ):
+            assert copy == fresh and (hash(copy), repr(copy)) == (hash(fresh), repr(fresh))
+            for k in (-120.0, -50.0, 10.0, 75.0):
+                assert vv_price(copy, k).hex() == fresh_price(fresh, k).hex()
+                assert vv_smile_first_order(copy, k).hex() == fresh_first_order(fresh, k).hex()
+                assert vv_smile_second_order(copy, k).hex() == fresh_second_order(fresh, k).hex()
