@@ -186,11 +186,12 @@ def vv_smile_second_order(pivots: PivotSet, k0):
     in a rationalized form that is exact at the pivots and smooth
     through the ATM point, where it reduces to the first-order value
     plus the convexity term Q/(2*sigma). Arrays raise at their first bad strike.
-    Needs no pivot vega, so it never raises :class:`ZeroVega`; raises
+    Needs no pivot vega, but divides by sigma_ref*sqrt(T): raises
+    :class:`ZeroVega`, as `vv_price` does, when that underflows to 0, and
     `OverflowError` when (v_i - sigma)^2 overflows for a pivot vol v_i.
     """
     sigma = pivots.ref_vol
-    stddev = sigma * math.sqrt(pivots.expiry)
+    stddev = _reference_stddev(pivots)
     y = _interp_weights(pivots._geometry, k0)
     d0 = (pivots.forward - k0) / stddev
     d = tuple((pivots.forward - k) / stddev for k in pivots.strikes)
@@ -216,17 +217,24 @@ def vv_smile_second_order(pivots: PivotSet, k0):
     return sigma + correction / (sigma + math.sqrt(discriminant))
 
 
+def _reference_stddev(pivots: PivotSet) -> float:
+    """sigma_ref*sqrt(T); raises :class:`ZeroVega` when it underflows to 0,
+    as no pivot then has vega and every d_i divides by it."""
+    stddev = pivots.ref_vol * math.sqrt(pivots.expiry)
+    if stddev == 0.0:
+        raise ZeroVega(
+            f"no pivot has vega at reference vol {pivots.ref_vol}: "
+            f"it times sqrt(expiry {pivots.expiry}) underflows to 0"
+        )
+    return stddev
+
+
 def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
     """Per pivot, phi(d_i) at the reference vol and the call price at the
     pivot vol minus that at the reference vol: strike-independent terms of
     `vv_price`, so a `PivotSet` needs them once (`_memo_legs`)."""
     sigma, sqrt_t = pivots.ref_vol, math.sqrt(pivots.expiry)
-    stddev = sigma * sqrt_t
-    if stddev == 0.0:
-        raise ZeroVega(
-            f"no pivot has vega at reference vol {sigma}: "
-            f"it times sqrt(expiry {pivots.expiry}) underflows to 0"
-        )
+    stddev = _reference_stddev(pivots)
     legs = []
     for strike, vol in zip(pivots.strikes, pivots.vols):
         payoff = pivots.forward - strike
@@ -293,12 +301,33 @@ VV_SMILES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmilePoint:
     strike: float
     vol: float | None
     price: float
     status: str
+
+
+def _smile_points(strikes: list, vols: list, prices: list) -> tuple[SmilePoint, ...]:
+    """`SmilePoint(k, vol, price, status)` for each strike, in order, with
+    the failed status where vol is None. Each slot is written through its
+    descriptor: the generated frozen `__init__` calls `object.__setattr__`
+    once a field, which made building the points most of a vv-first
+    grid's time."""
+    new = object.__new__
+    set_strike, set_vol, set_price, set_status = (
+        getattr(SmilePoint, name).__set__ for name in SmilePoint.__slots__
+    )
+    points = []
+    for k0, vol, price in zip(strikes, vols, prices):
+        point = new(SmilePoint)
+        set_strike(point, k0)
+        set_vol(point, vol)
+        set_price(point, price)
+        set_status(point, FAILED_BELOW_INTRINSIC if vol is None else STATUS_OK)
+        points.append(point)
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -334,10 +363,7 @@ def vv_smile_grid(pivots: PivotSet, strikes, method: str = "vv-exact") -> SmileG
         vols = [None if math.isnan(v) else v for v in exact.tolist()]
     else:
         vols = VV_SMILES[method](pivots, k).tolist()
-    points = tuple(
-        SmilePoint(k0, vol, price, FAILED_BELOW_INTRINSIC if vol is None else STATUS_OK)
-        for k0, vol, price in zip(k.tolist(), vols, prices.tolist())
-    )
+    points = _smile_points(k.tolist(), vols, prices.tolist())
     return SmileGrid(method=method, reference_vol=pivots.ref_vol, points=points)
 
 

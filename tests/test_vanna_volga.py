@@ -1,11 +1,15 @@
+import copy
 import dataclasses
 import math
 import pickle
 import sys
+import weakref
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normal_vv.vanna_volga as vanna_volga
 from normal_vv import (
@@ -136,9 +140,15 @@ class TestWeights:
             r"^no pivot has vega at reference vol 1e-271: "
             r"it times sqrt\(expiry 1e-305\) underflows to 0$"
         )
-        for fn in (vv_weights, verify_risk_elimination, vv_price, vv_smile_exact):
+        functions = (vv_weights, verify_risk_elimination, vv_price, vv_smile_exact,
+                     vv_smile_second_order)
+        for fn in functions:
             with pytest.raises(ZeroVega, match=message):
                 fn(p, 10.0)
+        # An array raises before it divides, so no RuntimeWarning (an error
+        # under this suite) shows.
+        with pytest.raises(ZeroVega, match=message):
+            vv_smile_second_order(p, np.linspace(-150.0, 150.0, 61))
         for method in vanna_volga.VV_SMILES:
             with pytest.raises(ZeroVega, match=message):
                 vv_smile_grid(p, np.linspace(-150.0, 150.0, 61), method)
@@ -403,6 +413,90 @@ def test_array_cases_reach_the_failure_paths():
     assert vv_smile_grid(frown, far_strikes(frown), "vv-exact").failed_strikes
     with pytest.raises(NegativeDiscriminant):
         vv_smile_grid(frown, far_strikes(frown), "vv-second")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    forward=st.floats(-100.0, 100.0),
+    log_expiry=st.floats(-1.0, 1.0),
+    ref=st.floats(20.0, 80.0),
+    middle=st.floats(-0.5, 0.5),
+    spacing=st.tuples(st.floats(0.3, 1.5), st.floats(0.3, 1.5)),
+    vols=st.tuples(*[st.floats(20.0, 80.0)] * 3),
+    offsets=st.lists(st.floats(-6.0, 6.0), max_size=12),
+    with_pivots=st.booleans(),
+)
+@pytest.mark.parametrize("method", ["vv-exact", "vv-first", "vv-second"])
+def test_grid_equals_per_strike_path_on_random_sets(
+    method, forward, log_expiry, ref, middle, spacing, vols, offsets, with_pivots
+):
+    # The property behind the fixed cases above, over random pivot sets and
+    # strike lists: empty, one strike, and with the pivots inside the grid.
+    expiry = 10.0**log_expiry
+    scale = ref * math.sqrt(expiry)
+    k2 = forward + middle * scale
+    pivot_strikes = (k2 - spacing[0] * scale, k2, k2 + spacing[1] * scale)
+    p = PivotSet(forward, expiry, pivot_strikes, vols, 1.0, reference_vol=ref)
+    strikes = [forward + x * scale for x in offsets]
+    if with_pivots:
+        strikes += pivot_strikes
+    try:
+        expected = per_strike_points(p, strikes, method)
+    except NegativeDiscriminant as scalar_error:
+        with pytest.raises(NegativeDiscriminant) as grid_error:
+            vv_smile_grid(p, strikes, method)
+        assert grid_error.value.strike == scalar_error.strike
+        assert grid_error.value.discriminant == scalar_error.discriminant
+        return
+    assert vv_smile_grid(p, strikes, method).points == expected
+
+
+class TestGridBuiltSmilePoint:
+    """Grid points are written slot by slot, not through `SmilePoint(...)`;
+    they must keep every part of the constructor-built points' contract."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        p = ARRAY_CASES["frown"]
+        strikes = far_strikes(p, size=61)
+        built = per_strike_points(p, strikes, "vv-exact")
+        # both statuses, so the vol=None points are covered too
+        assert {point.status for point in built} == {"ok", FAILED_BELOW_INTRINSIC}
+        return list(zip(vv_smile_grid(p, strikes, "vv-exact").points, built))
+
+    def test_equal_hash_and_repr(self, pairs):
+        for grid_point, built in pairs:
+            assert type(grid_point) is SmilePoint
+            assert grid_point == built
+            assert hash(grid_point) == hash(built)
+            assert repr(grid_point) == repr(built)
+
+    def test_every_field_is_set(self, pairs):
+        # An unset slot raises AttributeError, so a field added to SmilePoint
+        # and missed by the grid fails here.
+        names = [field.name for field in dataclasses.fields(SmilePoint)]
+        for grid_point, built in pairs:
+            assert [getattr(grid_point, n) for n in names] == [getattr(built, n) for n in names]
+
+    def test_copies_give_back_the_same_point(self, pairs):
+        for grid_point, built in pairs:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(grid_point, protocol)) == built
+            assert copy.deepcopy(grid_point) == built
+            assert dataclasses.replace(grid_point) == built
+            assert dataclasses.asdict(grid_point) == dataclasses.asdict(built)
+            assert dataclasses.replace(grid_point, status="x") == dataclasses.replace(
+                built, status="x"
+            )
+
+    def test_frozen_and_slotted(self, pairs):
+        grid_point, _ = pairs[0]
+        for field in dataclasses.fields(SmilePoint):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(grid_point, field.name, 0.0)
+        assert not hasattr(grid_point, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(grid_point)
 
 
 @pytest.mark.parametrize("case", sorted(ARRAY_CASES))
