@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -230,6 +232,142 @@ class TestFit:
             assert np.diff(curve, 2).min() >= -1e-9
 
 
+
+def level_term_pivots(forward, expiry, atm, width, wings):
+    """Steep convex wings at a long expiry, as TestLevelTerm draws them."""
+    h = width * atm * math.sqrt(expiry)
+    vols = (atm * (1.0 + wings[0]), atm, atm * (1.0 + wings[1]))
+    return PivotSet(forward, expiry, (forward - h, forward, forward + h), vols, 1.0)
+
+
+# Pivot sets whose fits take the solver's rarer branches.
+BRANCH_CASES = {
+    # trial steps refused for a level term that is not positive
+    "long_dated_level_refused": level_term_pivots(-282.6, 16.6, 142.6, 0.99, (2.71, 0.38)),
+    # nu held at its upper bound by the KKT rule
+    "long_dated_nu_bound": level_term_pivots(-110.5, 17.0, 111.6, 0.13, (2.93, 0.12)),
+    # perfbench calibrate deep frowns (seed 1 cycle 19, seed 3 cycle 29):
+    # one start each runs into the 200-step cap
+    "step_cap_seed1": PivotSet(
+        254.74709271121333,
+        7.2059420148083415,
+        (100.19637292671527, 234.44297702879965, 351.9755671437981),
+        (35.868200579825036, 40.51623097694156, 35.66456748854203),
+        0.9159627827077291,
+    ),
+    "step_cap_seed3": PivotSet(
+        110.96948309248198,
+        8.442000166016822,
+        (-99.72254217162134, 112.15035277220252, 364.09918393856844),
+        (102.73431163055827, 115.98394016717626, 103.40301705240012),
+        0.9736363492119352,
+    ),
+}
+
+# float.hex of (alpha, nu, rho, objective, residuals) and rho_identified
+FIT_BITS = {
+    "deep_frown": (
+        "0x1.72aece39ab14ap+5", "0x1.50d92b1a1d3b2p-6", "0x1.ff7ced916872bp-1",
+        "0x1.42736a1771848p+4",
+        ("0x1.d1b4df3df6740p+0", "-0x1.d52db1136fad0p+1", "0x1.d89cb702b3420p+0"),
+        True,
+    ),
+    "flat": (
+        "0x1.9000000000000p+5", "0x1.1395621a38600p-49", "-0x1.01ac5feb4a52cp-5",
+        "0x0.0p+0",
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        False,
+    ),
+    "negative_forward_t10": (
+        "0x1.4000000000000p+6", "0x1.3333333333337p-2", "0x1.3333333333331p-2",
+        "0x1.0000000000000p-92",
+        ("0x1.0000000000000p-46", "0x0.0p+0", "0x0.0p+0"),
+        True,
+    ),
+    "sabr_skew": (
+        "0x1.9000000000000p+5", "0x1.ffffffffffffap-2", "-0x1.3333333333332p-1",
+        "0x0.0p+0",
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        True,
+    ),
+    "scenario2_frown": (
+        "0x1.88040256a6f47p+5", "0x1.4a3cbabf9d38cp-6", "0x1.ff7ced916872bp-1",
+        "0x1.7f209642038d4p+0",
+        ("0x1.fbe9ba5409a00p-2", "-0x1.ff6b7cb12ea80p-1", "0x1.017208f0ffbc0p-1"),
+        True,
+    ),
+    "long_dated_level_refused": (
+        "0x1.ecba154a8fa2ap+7", "0x1.5207a522225a6p+1", "-0x1.a934f752d0c8dp-1",
+        "0x1.d1409185833c8p+11",
+        ("-0x1.f8c7aff5e7ef0p+4", "0x1.5a46d47b0ad90p+4", "0x1.7c2c4bb3715c4p+5"),
+        True,
+    ),
+    "long_dated_nu_bound": (
+        "0x1.b020d657241c7p+6", "0x1.4000000000000p+3", "-0x1.a1a096be750f2p-1",
+        "0x1.d9ffa4b03d0f7p+12",
+        ("-0x1.625795a9d3e48p+5", "0x1.b1786d1fbdaf8p+4", "0x1.17a95401824d9p+6"),
+        True,
+    ),
+    "step_cap_seed1": (
+        "0x1.2acd89d8edc3dp+5", "0x1.c2833bab2dcc3p-15", "0x1.ff7ced916872bp-1",
+        "0x1.e1f70e9bdaae3p+3",
+        ("0x1.7a5f1dee13e60p+0", "-0x1.954d1717e7b50p+1", "0x1.b03b101d05d60p+0"),
+        True,
+    ),
+    "step_cap_seed3": (
+        "0x1.ad81354b0f898p+6", "0x1.5ce4c3b78e92ap-12", "-0x1.ff7ced916872bp-1",
+        "0x1.bdb1bfb0838a7p+6",
+        ("0x1.2b51f454e9880p+2", "-0x1.13746a0be8510p+3", "0x1.f72dbc74d93c0p+1"),
+        True,
+    ),
+}
+
+# sha256 of the FIT_BITS-style records of the fits to random_triples(400)
+RANDOM_FITS_DIGEST = "b5e65913db0975a1532d1b375125c0784a174c7d63fee2c98c3e1f9c26d4299d"
+
+
+def fit_bits(fit):
+    p = fit.params
+    return (
+        *(x.hex() for x in (p.alpha, p.nu, p.rho, fit.objective)),
+        tuple(r.hex() for r in fit.residuals),
+        fit.rho_identified,
+    )
+
+
+def random_triples(n):
+    """Seeded pivot sets: convex smiles, skews and frowns of either sign of
+    forward, at expiries from 0.1 to 30 years."""
+    rng = random.Random(20240)
+    for _ in range(n):
+        forward = rng.uniform(-300.0, 300.0)
+        expiry = rng.uniform(0.1, 30.0)
+        atm = rng.uniform(10.0, 150.0)
+        h = rng.uniform(0.2, 1.5) * atm * math.sqrt(expiry)
+        strikes = (
+            forward - rng.uniform(0.8, 1.2) * h,
+            forward + rng.uniform(-0.2, 0.2) * h,
+            forward + rng.uniform(0.8, 1.2) * h,
+        )
+        vols = (atm * rng.uniform(0.85, 1.6), atm, atm * rng.uniform(0.85, 1.6))
+        yield PivotSet(forward, expiry, strikes, vols, 1.0)
+
+
+class TestFitBits:
+    # Exact result bits, so a reordered operation anywhere in the solver
+    # shows even where every tolerance test still passes.
+    @pytest.mark.parametrize("case", sorted(FIT_BITS))
+    def test_pinned_fit(self, case):
+        pivots = BRANCH_CASES[case] if case in BRANCH_CASES else FIT_QUALITY_CASES[case][0]
+        assert fit_bits(sabr_fit(pivots)) == FIT_BITS[case]
+
+    def test_random_fits_digest(self):
+        digest = hashlib.sha256()
+        for pivots in random_triples(400):
+            digest.update(repr(fit_bits(sabr_fit(pivots))).encode())
+        assert digest.hexdigest() == RANDOM_FITS_DIGEST
+
+
 # Closed-form gradient against 5-point differences of sabr_normal_vol
 # (step 1e-4 * alpha in alpha; 1e-4 * min(1, alpha / |F - K|) in nu,
 # one-sided within two steps of nu = 0; 1e-4 * sqrt(1 - |rho|) in rho).
@@ -339,9 +477,7 @@ class TestLevelTerm:
         # |rho| above sqrt(2/3) the level term 1 + (2 - 3 rho^2) nu^2 T / 24
         # could then turn negative inside the box, and the fit must not
         # land there.
-        h = width * atm * math.sqrt(expiry)
-        vols = (atm * (1.0 + wings[0]), atm, atm * (1.0 + wings[1]))
-        fit = sabr_fit(PivotSet(forward, expiry, (forward - h, forward, forward + h), vols, 1.0))
+        fit = sabr_fit(level_term_pivots(forward, expiry, atm, width, wings))
         nu, rho = fit.params.nu, fit.params.rho
         assert 1.0 + (2.0 - 3.0 * rho * rho) / 24.0 * nu * nu * expiry > 0.0
         assert sabr_normal_vol(fit.params, forward, expiry, forward) > 0.0
