@@ -43,7 +43,7 @@ class SABRParams:
     """Normal SABR parameters (the exponent on the forward is fixed at 0).
 
     alpha: instantaneous normal vol, same units as the forward.
-    nu:    vol of vol (lognormal), per sqrt(year).
+    nu:    vol of vol (lognormal), per sqrt(year), with nu^2 finite: nu <= sqrt(DBL_MAX).
     rho:   correlation between forward and vol shocks.
     """
 
@@ -54,8 +54,8 @@ class SABRParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0.0 <= self.nu < math.inf:
-            raise ValueError(f"nu must be nonnegative and finite, got {self.nu}")
+        if not (0.0 <= self.nu and self.nu * self.nu < math.inf):
+            raise ValueError(f"nu must be nonnegative with a finite square, got {self.nu}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
 
@@ -166,8 +166,8 @@ def sabr_fit(pivots) -> SABRFit:
     start reaches a finite cost, or when the pivot vols are so large that
     the flat-smile objective overflows.
     """
-    strikes = pivots.strikes
-    vols = pivots.vols
+    strikes = k1, k2, k3 = pivots.strikes
+    vols = v1, v2, v3 = pivots.vols
     forward = pivots.forward
     expiry = pivots.expiry
     # Pivot closest to the forward anchors the starting vol level.
@@ -180,13 +180,12 @@ def sabr_fit(pivots) -> SABRFit:
         # the box cannot hold the level term positive, so the solver does
         if not 1.0 + (2.0 - 3.0 * rho**2) / 24.0 * nu**2 * expiry > 0.0:
             return None
-        residuals, rows = [], []
-        for k, v in zip(strikes, vols):
-            vol, row = _sabr_vol(alpha, nu, rho, forward, expiry, k, gradient=True)
-            residuals.append(vol - v)
-            rows.append(row)
-        cost = sum(r * r for r in residuals)
-        return (cost, residuals, rows) if math.isfinite(cost) else None
+        vol1, row1 = _sabr_vol(alpha, nu, rho, forward, expiry, k1, True)
+        vol2, row2 = _sabr_vol(alpha, nu, rho, forward, expiry, k2, True)
+        vol3, row3 = _sabr_vol(alpha, nu, rho, forward, expiry, k3, True)
+        r1, r2, r3 = vol1 - v1, vol2 - v2, vol3 - v3
+        cost = r1 * r1 + r2 * r2 + r3 * r3
+        return (cost, (r1, r2, r3), (row1, row2, row3)) if math.isfinite(cost) else None
 
     runs = []
     for nu0 in (0.3, 1.0):
@@ -203,9 +202,9 @@ def sabr_fit(pivots) -> SABRFit:
 
     # nu = 0 fits the best flat line, so no fit does worse; one that does
     # no better, to the rounding floor (1e-12 * atm)^2, has left rho free.
-    mean = sum(vols) / 3.0
+    mean = (v1 + v2 + v3) / 3.0
     try:
-        flat_objective = sum((v - mean) ** 2 for v in vols)
+        flat_objective = (v1 - mean) ** 2 + (v2 - mean) ** 2 + (v3 - mean) ** 2
         floor = (1e-12 * vol_scale) ** 2
     except OverflowError:
         raise CalibrationFailure(
@@ -214,7 +213,7 @@ def sabr_fit(pivots) -> SABRFit:
     rho_identified = objective < flat_objective * (1.0 - 1e-9) - floor
     return SABRFit(
         params=SABRParams(*params),
-        residuals=tuple(residuals),
+        residuals=residuals,
         objective=objective,
         rho_identified=rho_identified,
     )
@@ -233,10 +232,10 @@ _LM_DAMPING = 1e-3
 def _levenberg_marquardt(evaluate, p, lower, upper):
     """Minimise a 3-parameter sum of squares over the box [lower, upper].
 
-    `evaluate(*p)` returns (cost, residuals, Jacobian rows), or None at a
-    point the caller rejects; a trial step that lands there is refused
-    like one that raises the cost. Levenberg-Marquardt (More 1978) with
-    Marquardt's scaling by the running maximum of diag(J^T J) and
+    `evaluate(*p)` returns (cost, residuals, Jacobian rows) as tuples, or
+    None at a point the caller rejects; a trial step that lands there is
+    refused like one that raises the cost. Levenberg-Marquardt (More 1978)
+    with Marquardt's scaling by the running maximum of diag(J^T J) and
     Nielsen's damping update; each step solves
     (J^T J + lam D) step = -J^T r by Cholesky and is projected onto the
     box. The run starts in the interior. A parameter on one of its
@@ -245,94 +244,91 @@ def _levenberg_marquardt(evaluate, p, lower, upper):
     so the run follows a face, edge or corner only while the gradient
     keeps pushing outwards. Returns (cost, p, residuals) at the lowest
     cost reached, or None when `p` itself is rejected.
+
+    The size is fixed, so the loop is straight-line code on scalars (p1,
+    p2, p3 for p, and so on) with the Cholesky solve inline: lists, `zip`
+    and generators cost more than its arithmetic. Sums add left to right.
     """
     point = evaluate(*p)
     if point is None:
         return None
-    cost, residuals, rows = point
-    scale = [0.0, 0.0, 0.0]
+    cost, (r1, r2, r3), ((a1, a2, a3), (b1, b2, b3), (c1, c2, c3)) = point
+    (p1, p2, p3), (lo1, lo2, lo3), (hi1, hi2, hi3) = p, lower, upper
+    m1 = m2 = m3 = 0.0  # Marquardt's scale
     lam = _LM_DAMPING
     growth = 2.0
     for _ in range(_LM_MAX_STEPS):
-        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
-        r1, r2, r3 = residuals
-        grad = (
-            a1 * r1 + b1 * r2 + c1 * r3,
-            a2 * r1 + b2 * r2 + c2 * r3,
-            a3 * r1 + b3 * r2 + c3 * r3,
-        )
+        # the gradient J^T r and the lower triangle of J^T J
+        g1 = a1 * r1 + b1 * r2 + c1 * r3
+        g2 = a2 * r1 + b2 * r2 + c2 * r3
+        g3 = a3 * r1 + b3 * r2 + c3 * r3
         h11 = a1 * a1 + b1 * b1 + c1 * c1
         h22 = a2 * a2 + b2 * b2 + c2 * c2
         h33 = a3 * a3 + b3 * b3 + c3 * c3
         h21 = a2 * a1 + b2 * b1 + c2 * c1
         h31 = a3 * a1 + b3 * b1 + c3 * c1
         h32 = a3 * a2 + b3 * b2 + c3 * c2
-        scale = [max(scale[0], h11), max(scale[1], h22), max(scale[2], h33)]
-        held = [
-            (x <= lo and g > 0.0) or (x >= hi and g < 0.0)
-            for x, g, lo, hi in zip(p, grad, lower, upper)
-        ]
-        step = _damped_step((h11, h21, h22, h31, h32, h33), grad, scale, lam, held)
-        if step is None:
-            point = None
-        elif all(abs(s) <= _LM_XTOL * (abs(x) + 1.0) for s, x in zip(step, p)):
-            break
-        else:
-            trial = [min(max(x + s, lo), hi) for x, s, lo, hi in zip(p, step, lower, upper)]
-            point = evaluate(*trial)
+        m1 = h11 if h11 > m1 else m1
+        m2 = h22 if h22 > m2 else m2
+        m3 = h33 if h33 > m3 else m3
+        d1 = h11 + lam * m1
+        d2 = h22 + lam * m2
+        d3 = h33 + lam * m3
+        # a held parameter gets a unit row and column and a zero right-hand side
+        if (p1 <= lo1 and g1 > 0.0) or (p1 >= hi1 and g1 < 0.0):
+            d1, h21, h31, g1 = 1.0, 0.0, 0.0, 0.0
+        if (p2 <= lo2 and g2 > 0.0) or (p2 >= hi2 and g2 < 0.0):
+            d2, h21, h32, g2 = 1.0, 0.0, 0.0, 0.0
+        if (p3 <= lo3 and g3 > 0.0) or (p3 >= hi3 and g3 < 0.0):
+            d3, h31, h32, g3 = 1.0, 0.0, 0.0, 0.0
+        # Cholesky solve of (J^T J + lam D) step = -g; a pivot that is not
+        # numerically positive refuses the step like a rise in cost
+        point = None
+        if d1 > 0.0:
+            l11 = math.sqrt(d1)
+            l21 = h21 / l11
+            l31 = h31 / l11
+            d2 = d2 - l21 * l21
+            if d2 > 0.0:
+                l22 = math.sqrt(d2)
+                l32 = (h32 - l31 * l21) / l22
+                d3 = d3 - l31 * l31 - l32 * l32
+                if d3 > 0.0:
+                    l33 = math.sqrt(d3)
+                    y1 = -g1 / l11
+                    y2 = (-g2 - l21 * y1) / l22
+                    y3 = (-g3 - l31 * y1 - l32 * y2) / l33
+                    s3 = y3 / l33
+                    s2 = (y2 - l32 * s3) / l22
+                    s1 = (y1 - l21 * s2 - l31 * s3) / l11
+                    if (
+                        abs(s1) <= _LM_XTOL * (abs(p1) + 1.0)
+                        and abs(s2) <= _LM_XTOL * (abs(p2) + 1.0)
+                        and abs(s3) <= _LM_XTOL * (abs(p3) + 1.0)
+                    ):
+                        break
+                    # projected onto the box, as min(max(t, lo), hi) would be
+                    t1, t2, t3 = p1 + s1, p2 + s2, p3 + s3
+                    t1 = lo1 if lo1 > t1 else hi1 if hi1 < t1 else t1
+                    t2 = lo2 if lo2 > t2 else hi2 if hi2 < t2 else t2
+                    t3 = lo3 if lo3 > t3 else hi3 if hi3 < t3 else t3
+                    point = evaluate(t1, t2, t3)
         if point is None or not point[0] < cost:
             lam *= growth
             growth *= 2.0
             continue
         # gain ratio: actual over predicted decrease of the linear model
-        s1, s2, s3 = (t - x for t, x in zip(trial, p))
-        model = (r + j1 * s1 + j2 * s2 + j3 * s3 for r, (j1, j2, j3) in zip(residuals, rows))
-        predicted = cost - sum(m * m for m in model)
+        s1, s2, s3 = t1 - p1, t2 - p2, t3 - p3
+        e1 = r1 + a1 * s1 + a2 * s2 + a3 * s3
+        e2 = r2 + b1 * s1 + b2 * s2 + b3 * s3
+        e3 = r3 + c1 * s1 + c2 * s2 + c3 * s3
+        predicted = cost - (e1 * e1 + e2 * e2 + e3 * e3)
         gain = (cost - point[0]) / predicted if predicted > 0.0 else 0.0
         lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
         growth = 2.0
         done = cost - point[0] <= _LM_FTOL * cost
-        p = trial
-        cost, residuals, rows = point
+        p1, p2, p3 = t1, t2, t3
+        cost, (r1, r2, r3), ((a1, a2, a3), (b1, b2, b3), (c1, c2, c3)) = point
         if done:
             break
-    return cost, p, residuals
-
-
-def _damped_step(h, grad, scale, lam, held):
-    """Solve (H + lam diag(scale)) step = -grad, with held entries of the
-    step fixed at 0, by a 3x3 Cholesky factorisation; None if the damped
-    matrix is not numerically positive definite."""
-    h11, h21, h22, h31, h32, h33 = h
-    g1, g2, g3 = grad
-    a11 = h11 + lam * scale[0]
-    a22 = h22 + lam * scale[1]
-    a33 = h33 + lam * scale[2]
-    # a held parameter gets a unit row and column and a zero right-hand side
-    if held[0]:
-        a11, h21, h31, g1 = 1.0, 0.0, 0.0, 0.0
-    if held[1]:
-        a22, h21, h32, g2 = 1.0, 0.0, 0.0, 0.0
-    if held[2]:
-        a33, h31, h32, g3 = 1.0, 0.0, 0.0, 0.0
-    if not a11 > 0.0:
-        return None
-    l11 = math.sqrt(a11)
-    l21 = h21 / l11
-    l31 = h31 / l11
-    d22 = a22 - l21 * l21
-    if not d22 > 0.0:
-        return None
-    l22 = math.sqrt(d22)
-    l32 = (h32 - l31 * l21) / l22
-    d33 = a33 - l31 * l31 - l32 * l32
-    if not d33 > 0.0:
-        return None
-    l33 = math.sqrt(d33)
-    y1 = -g1 / l11
-    y2 = (-g2 - l21 * y1) / l22
-    y3 = (-g3 - l31 * y1 - l32 * y2) / l33
-    x3 = y3 / l33
-    x2 = (y2 - l32 * x3) / l22
-    x1 = (y1 - l21 * x2 - l31 * x3) / l11
-    return x1, x2, x3
+    return cost, (p1, p2, p3), (r1, r2, r3)

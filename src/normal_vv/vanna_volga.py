@@ -175,8 +175,9 @@ def vv_smile_first_order(pivots: PivotSet, k0: float) -> float:
 
     Independent of the reference vol by construction.
     """
-    y = _interp_weights(pivots._geometry, k0)
-    return sum(y_i * v_i for y_i, v_i in zip(y, pivots.vols))
+    y1, y2, y3 = _interp_weights(pivots._geometry, k0)
+    v1, v2, v3 = pivots.vols
+    return y1 * v1 + y2 * v2 + y3 * v3
 
 
 def vv_smile_second_order(pivots: PivotSet, k0):
@@ -192,19 +193,19 @@ def vv_smile_second_order(pivots: PivotSet, k0):
     """
     sigma = pivots.ref_vol
     stddev = _reference_stddev(pivots)
-    y = _interp_weights(pivots._geometry, k0)
+    y1, y2, y3 = _interp_weights(pivots._geometry, k0)
+    v1, v2, v3 = pivots.vols
     d0 = (pivots.forward - k0) / stddev
-    d = tuple((pivots.forward - k) / stddev for k in pivots.strikes)
-    first_order = sum(y_i * v_i for y_i, v_i in zip(y, pivots.vols))
-    p_term = first_order - sigma
+    d1, d2, d3 = ((pivots.forward - k) / stddev for k in pivots.strikes)
+    p_term = y1 * v1 + y2 * v2 + y3 * v3 - sigma
     try:
-        gaps = [(v_i - sigma) ** 2 for v_i in pivots.vols]
+        gap1, gap2, gap3 = (v1 - sigma) ** 2, (v2 - sigma) ** 2, (v3 - sigma) ** 2
     except OverflowError:
         raise OverflowError(
             f"a pivot vol in {pivots.vols} lies so far from reference vol {sigma} "
             "that its squared gap overflows"
         ) from None
-    q_term = sum(y_i * d_i * d_i * gap for y_i, d_i, gap in zip(y, d, gaps))
+    q_term = y1 * d1 * d1 * gap1 + y2 * d2 * d2 * gap2 + y3 * d3 * d3 * gap3
     correction = 2.0 * sigma * p_term + q_term
     discriminant = sigma * sigma + d0 * d0 * correction
     if _is_array(discriminant):

@@ -778,12 +778,15 @@ def test_bundled_scenarios_cover_reference_setups(scenario_dir):
 
 
 BLOCKED_RUN = """
-import contextlib, io, json, sys
+import contextlib, io, json, math, sys
 blocked = json.loads(sys.argv[1])
 for name in blocked:
     sys.modules[name] = None  # any import of it now fails
 import normal_vv
 from normal_vv import bachelier, cli, density, implied_vol, sabr, vanna_volga
+if json.loads(sys.argv[3]):
+    for module in (normal_vv, bachelier, cli, density, implied_vol, sabr, vanna_volga):
+        module.sum = math.fsum
 report = {"codes": [], "outputs": []}
 for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
@@ -796,13 +799,14 @@ print(json.dumps(report))
 """
 
 
-def run_blocked(modules, argvs):
+def run_blocked(modules, argvs, fsum=False):
     """Run each argv through `cli.main` in one interpreter where none of
-    `modules` can be imported. The report holds the exit codes, each
-    command's [stdout, stderr], and under each blocked name the modules of
-    that package loaded at the end."""
+    `modules` can be imported, and with `fsum` where every `normal_vv`
+    module's global `sum` is `math.fsum`. The report holds the exit codes,
+    each command's [stdout, stderr], and under each blocked name the
+    modules of that package loaded at the end."""
     result = subprocess.run(
-        [sys.executable, "-c", BLOCKED_RUN, json.dumps(modules), json.dumps(argvs)],
+        [sys.executable, "-c", BLOCKED_RUN, json.dumps(modules), json.dumps(argvs), json.dumps(fsum)],
         capture_output=True,
         text=True,
     )
@@ -937,18 +941,33 @@ SCALAR_COMMANDS = (
 )
 
 
-def test_scalar_commands_run_without_numpy(scenario_dir, tmp_path):
-    argvs = [golden_argv(c, scenario_dir, tmp_path) for c in SCALAR_COMMANDS]
-    report = run_blocked(["numpy"], argvs)
-    hashes = {
+def report_hashes(commands, report):
+    return {
         command: output_hash(
             SimpleNamespace(stdout=out.encode(), stderr=err.encode(), returncode=code)
         )
-        for command, code, (out, err) in zip(SCALAR_COMMANDS, report["codes"], report["outputs"])
+        for command, code, (out, err) in zip(commands, report["codes"], report["outputs"])
     }
+
+
+def test_scalar_commands_run_without_numpy(scenario_dir, tmp_path):
+    argvs = [golden_argv(c, scenario_dir, tmp_path) for c in SCALAR_COMMANDS]
+    report = run_blocked(["numpy"], argvs)
+    hashes = report_hashes(SCALAR_COMMANDS, report)
     assert hashes == {command: GOLDEN_HASHES[command] for command in SCALAR_COMMANDS}
     assert report["codes"] == [0] * len(SCALAR_COMMANDS)
     assert report["numpy"] == []
+
+
+def test_scalar_commands_do_not_depend_on_float_sum(scenario_dir, tmp_path):
+    # Since CPython 3.12 `sum` of floats is compensated, so it rounds
+    # differently from 3.10 and 3.11. The library adds floats left to
+    # right by hand instead; with `sum` swapped for `math.fsum`, which
+    # rounds differently from both, the golden bytes still come out.
+    argvs = [golden_argv(c, scenario_dir, tmp_path) for c in SCALAR_COMMANDS]
+    report = run_blocked([], argvs, fsum=True)
+    hashes = report_hashes(SCALAR_COMMANDS, report)
+    assert hashes == {command: GOLDEN_HASHES[command] for command in SCALAR_COMMANDS}
 
 
 def test_import_does_not_load_numpy():

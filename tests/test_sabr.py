@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +128,19 @@ class TestVol:
                 SABRParams(alpha=alpha, nu=nu, rho=0.0)
         with pytest.raises(ValueError):
             sabr_normal_vol(SABRParams(50.0, 0.5, 0.0), 0.0, math.inf, 10.0)
+
+    @pytest.mark.parametrize("nu", [1e155, 1e300])
+    def test_nu_whose_square_overflows_is_rejected(self, nu):
+        # the level term squares nu, which would raise a bare OverflowError
+        with pytest.raises(ValueError, match=r"^nu must be nonnegative with a finite square"):
+            SABRParams(alpha=50.0, nu=nu, rho=0.0)
+
+    def test_largest_accepted_nu(self):
+        nu = math.sqrt(sys.float_info.max)
+        above = math.nextafter(nu, math.inf)
+        assert nu * nu < math.inf and above * above == math.inf
+        params = SABRParams(alpha=50.0, nu=nu, rho=0.0)
+        sabr_normal_vol(params, 0.0, 1.0, 10.0)  # an inf vol, but no exception
 
     def test_pinned_bits(self):
         # exact vol and gradient bits, so a reordered operation anywhere in
