@@ -806,7 +806,7 @@ def run_blocked(modules, argvs, fsum=False):
     each command's [stdout, stderr], and under each blocked name the
     modules of that package loaded at the end."""
     result = subprocess.run(
-        [sys.executable, "-c", BLOCKED_RUN, json.dumps(modules), json.dumps(argvs), json.dumps(fsum)],
+        [sys.executable, "-c", BLOCKED_RUN, *map(json.dumps, (modules, argvs, fsum))],
         capture_output=True,
         text=True,
     )
