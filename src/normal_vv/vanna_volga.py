@@ -230,35 +230,28 @@ def _reference_stddev(pivots: PivotSet) -> float:
     return stddev
 
 
-def _pivot_legs(pivots: PivotSet) -> tuple[tuple[float, float], ...]:
-    """Per pivot, phi(d_i) at the reference vol and the call price at the
-    pivot vol minus that at the reference vol: strike-independent terms of
-    `vv_price`, so a `PivotSet` needs them once (`_memo_legs`)."""
-    sigma, sqrt_t = pivots.ref_vol, math.sqrt(pivots.expiry)
-    stddev = _reference_stddev(pivots)
-    legs = []
-    for strike, vol in zip(pivots.strikes, pivots.vols):
-        payoff = pivots.forward - strike
-        ref_price, vega = _call_price_pdf(payoff, stddev, pivots.discount)
-        if vega < sys.float_info.min:  # every hedge weight divides by it, in arrays too
-            raise ZeroVega(f"pivot {strike} has no vega at reference vol {sigma}")
-        price = _call_price_pdf(payoff, vol * sqrt_t, pivots.discount)[0]
-        legs.append((vega, price - ref_price))
-    return tuple(legs)
-
-
 def _memo_legs(pivots: PivotSet) -> tuple:
     """Every term of `vv_price` that no strike changes: the forward,
-    sigma_ref*sqrt(T), the discount, the `PivotSet`'s strike geometry and
-    `_pivot_legs`, so a scalar price does only per-strike work (about a
-    third less time a call than with the geometry formed per call). Stored
-    in the instance `__dict__` on the first price: no lock, as a racing
-    thread computes and stores the same tuple. Field-based ==, hash and
-    repr never see it, and a `ZeroVega` raises before anything is stored."""
+    sigma_ref*sqrt(T), the discount, the `PivotSet`'s strike geometry and,
+    per pivot, phi(d_i) at the reference vol and the call price at the pivot
+    vol minus that at the reference vol. So a scalar price does only
+    per-strike work (about a third less time a call than with the geometry
+    formed per call). Stored in the instance `__dict__` on the first price:
+    no lock, as a racing thread computes and stores the same tuple.
+    Field-based ==, hash and repr never see it, and a `ZeroVega` raises
+    before anything is stored."""
     memo = pivots.__dict__.get("_legs")
     if memo is None:
-        memo = (pivots.forward, pivots.ref_vol * math.sqrt(pivots.expiry), pivots.discount,
-                pivots._geometry, _pivot_legs(pivots))
+        forward, discount, sqrt_t = pivots.forward, pivots.discount, math.sqrt(pivots.expiry)
+        stddev = _reference_stddev(pivots)
+        legs = []
+        for strike, vol in zip(pivots.strikes, pivots.vols):
+            ref_price, vega = _call_price_pdf(forward - strike, stddev, discount)
+            if vega < sys.float_info.min:  # every hedge weight divides by it, in arrays too
+                raise ZeroVega(f"pivot {strike} has no vega at reference vol {pivots.ref_vol}")
+            price = _call_price_pdf(forward - strike, vol * sqrt_t, discount)[0]
+            legs.append((vega, price - ref_price))
+        memo = (forward, stddev, discount, pivots._geometry, tuple(legs))
         pivots.__dict__["_legs"] = memo
     return memo
 
@@ -371,6 +364,11 @@ def vv_smile_grid(pivots: PivotSet, strikes, method: str = "vv-exact") -> SmileG
 _BRACKET_LO_FACTOR = 0.2
 _BRACKET_HI_FACTOR = 5.0
 _BRACKET_EXPAND = 5.0
+_SCAN_SAMPLES = 25
+# Brent stops once its bracket is narrower than xtol + rtol * |root|.
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 200
 
 
 def calibrate_reference_vol(
@@ -378,12 +376,15 @@ def calibrate_reference_vol(
 ) -> float:
     """Find the reference vol that makes the exact smile hit a fourth quote.
 
-    Scans [0.2*min(vols), 5*max(vols)] geometrically for a sign change of
-    the vol residual, expanding the range once if none appears, then
-    solves with Brent's method (`_brent`; xtol 1e-12, rtol 8.9e-16, at
-    most 200 iterations). Scan points where the smile itself fails
-    (below-intrinsic hedge price, or a pivot with no vega) are skipped,
-    so failed regions at the extremes only shrink the usable bracket.
+    Scans [0.2*min(vols), 5*max(vols)] geometrically, 25 points, for a sign
+    change of the vol residual, expanding the range once if none appears.
+    A scan point whose residual is exactly 0 is the root. Otherwise Brent's
+    method (`_brent`; xtol 1e-12, rtol 8.9e-16, at most 200 iterations)
+    starts from the first two scan points of opposite sign and the
+    residuals the scan found there, so no reference vol is evaluated twice.
+    Scan points where the smile itself fails (below-intrinsic hedge price,
+    or a pivot with no vega) are skipped, so failed regions at the
+    extremes only shrink the usable bracket.
     Raises :class:`NoRoot` with the endpoint residuals when no sign
     change can be found, or with the bracket when the smile fails inside
     it; when the residual is multi-rooted the returned root is whichever
@@ -406,7 +407,7 @@ def calibrate_reference_vol(
 
     def strict_residual(ref: float) -> float:
         value = residual(ref)
-        if value is None or not math.isfinite(value):
+        if value is None:
             raise NoRoot(
                 f"smile construction failed at reference vol {ref:.6g} "
                 f"while solving for the fourth quote (K={k4}, vol={sigma4})",
@@ -417,13 +418,21 @@ def calibrate_reference_vol(
     lo = _BRACKET_LO_FACTOR * min(pivots.vols)
     hi = _BRACKET_HI_FACTOR * max(pivots.vols)
     for lo, hi in ((lo, hi), (lo / _BRACKET_EXPAND, hi * _BRACKET_EXPAND)):
-        found, ends = _bracket(residual, lo, hi)
-        if found is not None:
-            a, b = found
-            if a == b:
-                return float(a)
-            return _brent(strict_residual, a, b)
-    r_lo, r_hi = ("smile-failed" if r is None else f"{r:.6g}" for r in ends)
+        ratio = (hi / lo) ** (1.0 / (_SCAN_SAMPLES - 1))
+        a = fa = None
+        b = lo
+        for i in range(_SCAN_SAMPLES):
+            fb = residual(b)
+            if i == 0:
+                f_lo = fb
+            if fb is not None:
+                if fb == 0.0:
+                    return float(b)
+                if fa is not None and fa * fb < 0.0:
+                    return _brent(strict_residual, a, fa, b, fb)
+                a, fa = b, fb
+            b = hi if i == _SCAN_SAMPLES - 2 else b * ratio
+    r_lo, r_hi = ("smile-failed" if r is None else f"{r:.6g}" for r in (f_lo, fb))
     raise NoRoot(
         f"no reference vol in [{lo:.6g}, {hi:.6g}] reprices the fourth quote "
         f"(K={k4}, vol={sigma4}); endpoint residuals {r_lo} and {r_hi}",
@@ -432,51 +441,15 @@ def calibrate_reference_vol(
     )
 
 
-_SCAN_SAMPLES = 25
-# Brent stops once its bracket is narrower than xtol + rtol * |root|.
-_BRENT_XTOL = 1e-12
-_BRENT_RTOL = 8.9e-16
-_BRENT_MAXITER = 200
-
-
-def _bracket(residual, lo: float, hi: float):
-    """First sign change of `residual` over a geometric scan of [lo, hi].
-
-    Returns ``(a, b), None`` at a sign change (a == b at an exact zero),
-    else ``None, (residual(lo), residual(hi))``. Points where the smile
-    fails to construct are skipped, so a failed region at either extreme
-    shrinks the usable bracket instead of killing the search.
-    """
-    ratio = (hi / lo) ** (1.0 / (_SCAN_SAMPLES - 1))
-    prev: tuple[float, float] | None = None
-    x = lo
-    for i in range(_SCAN_SAMPLES):
-        value = residual(x)
-        if i == 0:
-            first = value
-        if value is not None and math.isfinite(value):
-            if value == 0.0:
-                return (x, x), None
-            if prev is not None and prev[1] * value < 0.0:
-                return (prev[0], x), None
-            prev = (x, value)
-        x = hi if i == _SCAN_SAMPLES - 2 else x * ratio
-    return None, (first, value)
-
-
-def _brent(f, xpre: float, xcur: float) -> float:
-    """Root of `f` between two points where it has opposite signs.
+def _brent(f, xpre: float, fpre: float, xcur: float, fcur: float) -> float:
+    """Root of `f` between `xpre` and `xcur`, where it takes the nonzero
+    values `fpre` and `fcur` of opposite signs.
 
     Brent's method (Brent 1973, ch. 4), written operation for operation
     as the widely used `brentq` C loop, so its roots carry the same bits:
     inverse quadratic interpolation or the secant, with bisection
     whenever the interpolated step is not short enough.
     """
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
         if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import math
 import pickle
 import sys
@@ -31,7 +32,6 @@ from normal_vv import (
     vv_weights,
 )
 from normal_vv.bachelier import _call_price_pdf, norm_pdf
-from normal_vv.vanna_volga import _pivot_legs
 from hedge_residuals import verify_risk_elimination
 
 STRIKES = (-50.0, 0.0, 50.0)
@@ -545,6 +545,25 @@ BRENT_PINS = {
 }
 
 
+# (strikes, vols, forward, expiry, fourth strike, fourth vol), the bracket
+# and the message of each way calibration fails.
+NO_ROOT_PATHS = [
+    # no sign change on either scan; the expanded one starts where
+    # the smile fails, so its low end reports smile-failed
+    (
+        (STRIKES, (51.0, 50.0, 52.0), 0.0, 1.0, 100.0, 250.0),
+        (2.0, 1300.0),
+        "endpoint residuals smile-failed and -149.449",
+    ),
+    # a sign change, but the smile fails between its two points
+    (
+        ((-75.0, -40.0, -5.0), (33.5, 37.5, 30.0), -40.0, 0.75, -180.0, 40.0),
+        ("0x1.5d02ff090069bp+4", "0x1.3d361cefae3a1p+6"),
+        "smile construction failed at reference vol 40.1264",
+    ),
+]
+
+
 class TestReferenceCalibration:
     def test_round_trip_recovers_planted_reference(self):
         base = PivotSet(0.0, 1.0, STRIKES, (51.0, 50.0, 52.0), 1.0)
@@ -624,24 +643,7 @@ class TestReferenceCalibration:
         root = calibrate_reference_vol(base, (k4, float.fromhex(sigma4)))
         assert root == float.fromhex(expected)
 
-    @pytest.mark.parametrize(
-        "case, bracket, message",
-        [
-            # no sign change on either scan; the expanded one starts where
-            # the smile fails, so its low end reports smile-failed
-            (
-                (STRIKES, (51.0, 50.0, 52.0), 0.0, 1.0, 100.0, 250.0),
-                (2.0, 1300.0),
-                "endpoint residuals smile-failed and -149.449",
-            ),
-            # a sign change, but the smile fails between its two points
-            (
-                ((-75.0, -40.0, -5.0), (33.5, 37.5, 30.0), -40.0, 0.75, -180.0, 40.0),
-                ("0x1.5d02ff090069bp+4", "0x1.3d361cefae3a1p+6"),
-                "smile construction failed at reference vol 40.1264",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("case, bracket, message", NO_ROOT_PATHS)
     def test_no_root_paths(self, case, bracket, message):
         strikes, vols, forward, expiry, k4, sigma4 = case
         base = PivotSet(forward, expiry, strikes, vols, 1.0)
@@ -649,6 +651,80 @@ class TestReferenceCalibration:
             calibrate_reference_vol(base, (k4, sigma4))
         expected = tuple(float.fromhex(b) if isinstance(b, str) else b for b in bracket)
         assert excinfo.value.bracket == expected
+
+
+def calibration_draws(n=400, seed=25):
+    """Seeded (pivot set, fourth quote) pairs. Every other quote is planted
+    as the exact smile at a random reference vol; the rest, and plants
+    whose smile fails, are plain random quotes."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        p, k4 = random_pivot_draw(rng)
+        base = dataclasses.replace(p, reference_vol=None)
+        sigma4 = None
+        if i % 2 == 0:
+            try:
+                sigma4 = vv_smile_exact(base.with_reference(rng.uniform(5.0, 200.0)), k4)
+            except ZeroVega:
+                pass
+        if sigma4 is None:
+            sigma4 = rng.uniform(10.0, 150.0)
+        yield base, (k4, sigma4)
+
+
+def calibration_outcome(base, quote):
+    """The root's bits, or the failure's type, message, bracket and residuals."""
+    try:
+        return calibrate_reference_vol(base, quote).hex()
+    except RuntimeError as error:
+        return (type(error).__name__, str(error), getattr(error, "bracket", None),
+                getattr(error, "residuals", None))
+
+
+RANDOM_CALIBRATIONS_DIGEST = "e57211cbc8e64d17150166c40077df735516a3234c3e3b9cd92ede85abb2fdc0"
+
+
+class TestCalibrationBits:
+    def test_random_calibrations_digest(self):
+        digest = hashlib.sha256()
+        kinds = {"root": 0, "no sign change": 0, "smile failed": 0}
+        for base, quote in calibration_draws():
+            outcome = calibration_outcome(base, quote)
+            if isinstance(outcome, str):
+                kinds["root"] += 1
+            elif outcome[1].startswith("no reference vol"):
+                kinds["no sign change"] += 1
+            else:
+                kinds["smile failed"] += 1
+            digest.update(repr(outcome).encode())
+        assert digest.hexdigest() == RANDOM_CALIBRATIONS_DIGEST, kinds
+        assert all(kinds.values()), kinds  # every outcome is exercised
+
+    def test_no_reference_vol_evaluated_twice(self, monkeypatch):
+        seen = []
+        with_reference = PivotSet.with_reference
+
+        def recorded(self, sigma):
+            seen.append(sigma)
+            return with_reference(self, sigma)
+
+        monkeypatch.setattr(PivotSet, "with_reference", recorded)
+        cases = [
+            (PivotSet(forward, expiry, strikes, vols, discount), (k4, float.fromhex(sigma4)))
+            for vols, forward, expiry, strikes, discount, k4, sigma4, _ in BRENT_PINS.values()
+        ]
+        cases += [
+            (PivotSet(forward, expiry, strikes, vols, 1.0), (k4, sigma4))
+            for (strikes, vols, forward, expiry, k4, sigma4), _, _ in NO_ROOT_PATHS
+        ]
+        for base, quote in cases:
+            seen.clear()
+            try:
+                calibrate_reference_vol(base, quote)
+            except NoRoot:
+                pass
+            repeated = sorted({sigma for sigma in seen if seen.count(sigma) > 1})
+            assert seen and not repeated, repeated
 
 
 class TestDefaults:
@@ -729,11 +805,16 @@ def interp_weights_oracle(strikes, k):
 
 
 def fresh_price(p, k):
-    """`vv_price` written out with its pivot legs computed anew."""
+    """`vv_price` written out with its pivot legs computed anew: per pivot,
+    the vega at the reference vol and the price at the pivot vol minus that
+    at the reference vol."""
     stddev = p.ref_vol * math.sqrt(p.expiry)
     price, vega0 = _call_price_pdf(p.forward - k, stddev, p.discount)
-    for y_i, (vega_i, gap_i) in zip(interp_weights_oracle(p.strikes, k), _pivot_legs(p)):
-        price += y_i * vega0 / vega_i * gap_i
+    y = interp_weights_oracle(p.strikes, k)
+    for y_i, k_i, v_i in zip(y, p.strikes, p.vols):
+        ref_price, vega_i = _call_price_pdf(p.forward - k_i, stddev, p.discount)
+        pivot_price = _call_price_pdf(p.forward - k_i, v_i * math.sqrt(p.expiry), p.discount)[0]
+        price += y_i * vega0 / vega_i * (pivot_price - ref_price)
     return price
 
 
